@@ -8,7 +8,7 @@
 //! minim-lab list
 //! minim-lab show <preset>
 //! minim-lab run <preset | spec.json> [--runs K] [--seed S] [--workers W]
-//!                                    [--batched P] [--resident P]
+//!                                    [--resident P]
 //!                                    [--format table|json|csv|all]
 //!                                    [--out DIR] [--metrics-out FILE]
 //!                                    [--quiet]
@@ -21,11 +21,10 @@
 //!   `minim-lab show clustered-churn > my.json`, edit, `run my.json`.
 //! * `run` — executes the sweep, streaming per-point progress to
 //!   stderr. `--runs/--seed/--workers` override the spec's defaults;
-//!   `--batched P` switches each replicate to the wave-parallel
-//!   batched executor with `P` planning threads (bit-identical
-//!   results); `--resident P` instead keeps a persistent
-//!   spatial-ownership executor alive across a replicate's slices —
-//!   still bit-identical, and the knob for sustained-churn presets
+//!   `--resident P` switches each replicate to the resident
+//!   executor with `P` wave threads, keeping persistent
+//!   spatial-ownership shards alive across a replicate's slices —
+//!   bit-identical results, and the knob for sustained-churn presets
 //!   like `metropolis`, whose shard health (shard count, border-event
 //!   fraction, events/sec) is printed with the summary; `--format`
 //!   picks the stdout rendering (default `table`); `--out DIR`
@@ -34,8 +33,8 @@
 //!   sweep and afterwards writes the full `minim-trace/1` document
 //!   (counters, gauges, latency histograms, span profile tree) to
 //!   `FILE`, with a one-screen metrics summary printed alongside the
-//!   tables. This replaces the old `MINIM_BATCH_DEBUG` eprintln hook:
-//!   the batched/resident phase timings now land on spans.
+//!   tables; the resident executor's phase timings land on spans
+//!   there.
 //! * `serve-replay` — opens (or creates) a durable engine directory:
 //!   recovery replays the journal, prints the [`RecoveryReport`], and
 //!   with `--gen N` feeds `N` fresh churn events through the
@@ -56,7 +55,7 @@ fn usage() -> ! {
         "minim-lab — declarative scenario lab\n\n\
          USAGE:\n  minim-lab list\n  minim-lab show <preset>\n  \
          minim-lab run <preset | spec.json> [--runs K] [--seed S] [--workers W]\n\
-         \u{20}                                  [--batched P] [--resident P] [--format table|json|csv|all]\n\
+         \u{20}                                  [--resident P] [--format table|json|csv|all]\n\
          \u{20}                                  [--out DIR] [--metrics-out FILE] [--quiet]\n  \
          minim-lab serve-replay <dir> [--gen N] [--seed S] [--strategy Minim|CP|BBB] [--snapshot-every K]\n\n\
          Presets: see `minim-lab list`. A spec file is the JSON printed by `show`."
@@ -116,7 +115,6 @@ struct RunArgs {
     runs: Option<usize>,
     seed: Option<u64>,
     workers: Option<usize>,
-    batched: Option<usize>,
     resident: Option<usize>,
     format: String,
     out: Option<PathBuf>,
@@ -130,7 +128,6 @@ fn parse_run_args(argv: &[String]) -> RunArgs {
         runs: None,
         seed: None,
         workers: None,
-        batched: None,
         resident: None,
         format: "table".into(),
         out: None,
@@ -169,15 +166,6 @@ fn parse_run_args(argv: &[String]) -> RunArgs {
                         .ok()
                         .filter(|&n: &usize| n > 0)
                         .unwrap_or_else(|| die("--workers needs a positive integer")),
-                )
-            }
-            "--batched" => {
-                args.batched = Some(
-                    parse_next(&mut i, "--batched")
-                        .parse()
-                        .ok()
-                        .filter(|&n: &usize| n > 0)
-                        .unwrap_or_else(|| die("--batched needs a positive worker count")),
                 )
             }
             "--resident" => {
@@ -242,9 +230,6 @@ fn cmd_run(argv: &[String]) -> ExitCode {
     }
     if let Some(workers) = args.workers {
         cfg.workers = workers;
-    }
-    if let Some(planners) = args.batched {
-        cfg.execution = Execution::Batched { workers: planners };
     }
     if let Some(workers) = args.resident {
         cfg.execution = Execution::Resident { workers };

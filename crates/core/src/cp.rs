@@ -114,7 +114,7 @@ impl Cp {
     /// lowest-available rule. The network itself is untouched — the
     /// interleaved read-after-write the protocol needs happens on the
     /// view overlay, which is what lets many CP plans run concurrently
-    /// in batched execution.
+    /// in the resident executor's waves.
     fn reselect_plan(
         &self,
         net: &Network,

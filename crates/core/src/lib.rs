@@ -91,7 +91,8 @@ pub enum BatchLocality {
     Neighborhood,
     /// Handling may touch arbitrary state (BBB recolors the whole
     /// network; instrumentation wrappers accumulate global counters).
-    /// Batched execution degrades to sequential for such strategies.
+    /// The resident executor degrades to sequential for such
+    /// strategies.
     Global,
 }
 
@@ -180,16 +181,16 @@ pub trait RecodingStrategy {
     /// whose reads and writes stay within the event's neighborhood
     /// return [`BatchLocality::Neighborhood`] and implement
     /// [`RecodingStrategy::plan_batched`]; the conservative default
-    /// ([`BatchLocality::Global`]) makes batched execution fall back
-    /// to the sequential path.
+    /// ([`BatchLocality::Global`]) makes the resident executor fall
+    /// back to the sequential path.
     fn batch_locality(&self) -> BatchLocality {
         BatchLocality::Global
     }
 
     /// Plans the color writes for an event whose **topology has
     /// already been applied** to `net` (yielding `delta`), without
-    /// mutating anything — the parallel-safe phase of batched
-    /// execution.
+    /// mutating anything — the parallel-safe phase of the resident
+    /// executor's waves.
     ///
     /// Contract (for [`BatchLocality::Neighborhood`] strategies): the
     /// plan must depend only on state within the event's neighborhood,
@@ -296,7 +297,7 @@ impl StrategyKind {
     pub const DISTRIBUTED: [StrategyKind; 2] = [StrategyKind::Minim, StrategyKind::Cp];
 
     /// Instantiates the strategy. The trait object is `Send + Sync`
-    /// so the batched executor can share it across planning workers.
+    /// so the resident executor can share it across wave workers.
     pub fn build(self) -> Box<dyn RecodingStrategy + Send + Sync> {
         match self {
             StrategyKind::Minim => Box::new(Minim::default()),

@@ -68,8 +68,8 @@ impl Minim {
     /// `n` may or may not hold an old color.
     ///
     /// Thin wrapper: [`Minim::plan_matching`] decides, [`commit_plan`]
-    /// applies — the same decomposition batched execution uses, so
-    /// sequential and batched runs agree by construction.
+    /// applies — the same decomposition the resident executor's waves
+    /// use, so sequential and sharded runs agree by construction.
     fn matching_recode(&self, net: &mut Network, delta: &TopologyDelta) -> RecodeOutcome {
         let plan = self.plan_matching(net, delta);
         let outcome = commit_plan(net, &plan);

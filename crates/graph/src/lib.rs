@@ -25,7 +25,7 @@
 //! * [`ugraph`] — a dense undirected graph view used by the coloring
 //!   heuristics (`minim-coloring`) and by clique lower bounds.
 //! * [`unionfind`] — a deterministic (min-root-wins) disjoint-set
-//!   forest, shared by `minim-net`'s batch sharding and
+//!   forest, shared by `minim-net`'s shard-map seeding and
 //!   `minim-power`'s island-parallel relaxation.
 
 #![deny(missing_docs)]

@@ -1,13 +1,13 @@
 //! Deterministic union-find (disjoint-set forest) over dense indices.
 //!
 //! Two independent subsystems partition work into conflict-free groups
-//! with the same little structure: `minim-net`'s `BatchPlan` merges
-//! events whose claimed grid cells overlap into shards, and
-//! `minim-power`'s island scheduler merges worklist rows connected
+//! with the same little structure: `minim-net`'s `ShardMap` merges
+//! populated grid cells that could share a claim into ownership
+//! regions, and `minim-power`'s island scheduler merges worklist rows connected
 //! through the transposed interference index into independently
 //! relaxable islands. Both need the *same* determinism guarantee: the
 //! root of a component must not depend on union order, so group
-//! identities (shard ids, island ids) are reproducible across runs and
+//! identities (region ids, island ids) are reproducible across runs and
 //! worker counts.
 //!
 //! [`UnionFind`] pins that down by always attaching the larger root

@@ -107,7 +107,7 @@ pub fn apply_topology(net: &mut Network, event: &Event) -> AppliedEvent {
 /// [`apply_topology`] keeping the [`crate::TopologyDelta`] and
 /// optionally pinning the id a join allocates.
 ///
-/// The batch executor applies a wave's events out of original order;
+/// The resident executor applies a wave's events out of original order;
 /// passing each join's sequentially pre-assigned id (from
 /// [`Network::peek_next_id`](crate::Network::peek_next_id) accounting)
 /// keeps id allocation — and therefore every downstream color decision

@@ -49,9 +49,7 @@ use minim_geom::{Point, Rect, Segment, SegmentGrid, StratifiedGrid};
 use minim_graph::conflict;
 use minim_graph::{Assignment, Color, DiGraph, NodeId};
 
-pub mod batch;
 pub mod shardmap;
-pub use batch::{BatchPlan, BatchScratch};
 pub use shardmap::{Disposition, ShardMap, SliceRoute};
 
 /// Structural digest of a [`Network`]: node count, id watermark, edge
@@ -262,9 +260,9 @@ impl Network {
 
     /// An empty network with this network's spatial-index
     /// configuration (cell hint, flat/stratified mode) and obstacles,
-    /// but no nodes. Shard execution builds its private subnetworks
-    /// with this so both arms of a flat-vs-stratified comparison keep
-    /// their index mode through batching.
+    /// but no nodes. The resident executor builds its shard
+    /// subnetworks with this so both arms of a flat-vs-stratified
+    /// comparison keep their index mode through sharded execution.
     pub fn fresh_like(&self) -> Network {
         let hint = self.cell_size_hint();
         let grid = if self.grid.is_flat() {
@@ -343,7 +341,7 @@ impl Network {
     }
 
     /// The id the next [`Network::next_id`] call would return, without
-    /// allocating it. Batch planning pre-assigns join ids with this so
+    /// allocating it. Shard routing pre-assigns join ids with this so
     /// out-of-order (wave) application allocates the same ids as
     /// sequential execution.
     pub fn peek_next_id(&self) -> NodeId {
@@ -354,7 +352,7 @@ impl Network {
     /// **derived from range-tier occupancy** (the scan radius of the
     /// highest occupied tier; at most 2× the true maximum). Unlike the
     /// old monotone watermark it *tightens* when long-range nodes
-    /// shrink or leave — so batch planning's conservative claim radii
+    /// shrink or leave — so shard routing's conservative claim radii
     /// shrink with it, widening the attainable shard parallelism. In a
     /// [`Network::new_flat`] network this is the legacy monotone
     /// watermark.
@@ -1175,7 +1173,7 @@ mod tests {
     /// Regression for the watermark bug: `max_range_bound` never
     /// shrank after `set_range` lowered a node's range or `remove_node`
     /// deleted the longest-range node, so one lighthouse permanently
-    /// inflated every later reverse-reach scan (and every batch claim
+    /// inflated every later reverse-reach scan (and every shard claim
     /// radius). The bound is now derived from range-tier occupancy.
     #[test]
     fn range_bound_shrinks_when_lighthouse_leaves() {

@@ -1,25 +1,46 @@
 //! Persistent spatial-ownership shard map — the planning layer of the
 //! resident executor.
 //!
-//! [`crate::batch::BatchPlan`] re-derives a partition from scratch for
-//! every event slice: union-find over the slice's claim cells, fresh
-//! shard vectors, and (in `minim-sim`'s per-slice executor) a fresh
-//! subnetwork extraction walking **every node in the network** — fine
-//! at `N = 10k`, a wall at `N = 10⁶`. A [`ShardMap`] inverts the
-//! lifetime: the arena is partitioned once into **persistent ownership
-//! regions** (grid cells mapped to a fixed set of shards, seeded from
-//! the claim-cell union-find over the current node population and the
-//! same cell geometry the stratified index uses), and each slice is
-//! merely *routed* against that standing partition in `O(events ·
-//! claim cells)` — independent of `N`.
+//! The paper's locality result says one reconfiguration event only
+//! perturbs (and a strategy only reads) a bounded spatial neighborhood
+//! of the initiating node. Events whose neighborhoods are disjoint
+//! therefore **commute**: applying them in either order — or on
+//! different copies of the affected regions — produces the same
+//! network. A [`ShardMap`] partitions the arena once into **persistent
+//! ownership regions** (grid cells mapped to a fixed set of shards,
+//! seeded from a claim-cell union-find over the current node
+//! population and the same cell geometry the stratified index uses),
+//! and each event slice is merely *routed* against that standing
+//! partition in `O(events · claim cells)` — independent of `N`.
+//!
+//! # The conservative neighborhood
+//!
+//! Let `B` be an upper bound on every transmission range that can
+//! occur while the slice executes (the network's tier-derived
+//! [`Network::range_bound`] joined with every range the events
+//! themselves introduce — since the bound *tightens* when long-range
+//! nodes shrink or leave, claim radii shrink with it). Measured from
+//! the event's anchor position(s), every strategy read or write stays
+//! within a bounded number of graph hops, each of length ≤ `B`:
+//!
+//! * topology changes are incident to the initiator — reach ≤ `B`;
+//! * join/move/leave recoding writes the recode set (one hop, ≤ `B`)
+//!   and reads its members' constraint colors and 2-hop surroundings
+//!   — reach ≤ `3B`;
+//! * a power increase under CP can rewrite two-hop nodes (`≤ 2B`)
+//!   whose reselection reads two hops further — reach ≤ `4B`.
+//!
+//! Each event therefore claims every grid cell intersecting a disc of
+//! radius `3B` (`4B` for range changes) around its anchors. Two events
+//! can read or write common state only if their claims share a cell.
+//! Cell granularity only ever *adds* conflicts, never hides one, so
+//! any partition built on claim cells stays sound.
 //!
 //! # Routing and the border rule
 //!
-//! Every event claims the same conservative footprint as the batch
-//! planner: every cell intersecting a disc of radius `3B` (`4B` for
-//! range changes) around its anchors, where `B` is the slice-wide
-//! range bound. Routing walks the slice in order and classifies each
-//! event:
+//! Every event claims the conservative footprint above, with `B` the
+//! slice-wide range bound. Routing walks the slice in order and
+//! classifies each event:
 //!
 //! * **Interior** — every claimed cell is owned by one shard (cells
 //!   not yet owned by anyone are *annexed* to that shard on the
@@ -34,11 +55,11 @@
 //! # Why this is order-sound
 //!
 //! Two events of one slice can read or write common state only if
-//! their claims share a cell (the batch module's conservative-radius
-//! argument, verbatim). Walk the routing scan: when event `a` claims
-//! cell `c`, `c` ends up owned by a's shard (interior) or by some
-//! touched shard (border) — ownership never changes afterwards. A
-//! later event `b` claiming `c` therefore *sees* `c` owned:
+//! their claims share a cell (the conservative-neighborhood argument
+//! above). Walk the routing scan: when event `a` claims cell `c`, `c`
+//! ends up owned by a's shard (interior) or by some touched shard
+//! (border) — ownership never changes afterwards. A later event `b`
+//! claiming `c` therefore *sees* `c` owned:
 //!
 //! * if `b` is interior to the same shard, FIFO order within the
 //!   shard preserves `a` before `b`;
@@ -94,8 +115,7 @@ pub enum Disposition {
 #[derive(Debug, Default)]
 pub struct SliceRoute {
     /// Pre-assigned join ids, parallel to the slice (`None` for
-    /// non-join events) — matches sequential allocation order exactly
-    /// like `BatchPlan::join_id`.
+    /// non-join events) — matches sequential allocation order exactly.
     pub join_ids: Vec<Option<NodeId>>,
     /// Per-event routing decision, parallel to the slice.
     pub disposition: Vec<Disposition>,
@@ -130,8 +150,7 @@ impl SliceRoute {
 
 /// A persistent partition of the arena into shard-owned cell regions.
 ///
-/// Unlike a [`crate::BatchPlan`] — whose shards live for one slice —
-/// a `ShardMap` survives across slices: ownership only ever *grows*
+/// A `ShardMap` survives across slices: ownership only ever *grows*
 /// (unowned cells are annexed as events claim them), so a shard's
 /// resident subnetwork stays meaningful from slice to slice. The
 /// shard count is fixed at seeding and deliberately **decoupled from
@@ -159,8 +178,8 @@ impl ShardMap {
     ///
     /// Populated cells are clustered by the claim-cell union-find
     /// (cells within `SEED_REACH` union into one region — the same
-    /// conservative "could share a claim" relation the batch planner
-    /// closes over), then regions are dealt to shards by greedy
+    /// conservative "could share a claim" relation of the module
+    /// docs), then regions are dealt to shards by greedy
     /// node-count balancing, largest region first. Deterministic:
     /// cells are visited in sorted order and ties break toward the
     /// lowest shard index.
@@ -282,9 +301,9 @@ impl ShardMap {
 
     /// Routes one slice against the standing partition, filling
     /// `route` (buffers recycled). Walks events in order, computing
-    /// each event's conservative claim footprint exactly like
-    /// `BatchPlan` (same `3B`/`4B` radii off the slice-wide range
-    /// bound, ghost positions tracking in-slice joins and moves) and
+    /// each event's conservative claim footprint (`3B`/`4B` radii off
+    /// the slice-wide range bound, ghost positions tracking in-slice
+    /// joins and moves) and
     /// classifying it interior or border per the module docs. Unowned
     /// claimed cells are annexed as a side effect, so the partition
     /// is total over everything this slice can touch.
@@ -304,8 +323,10 @@ impl ShardMap {
         route.border_events = 0;
         route.ghost.clear();
 
-        // Slice-wide range bound, exactly as the batch planner joins
-        // it: conservative for every event of the slice.
+        // Slice-wide range bound: conservative for every event of the
+        // slice (a node not yet inserted cannot be anyone's neighbor,
+        // ranges only change through the slice's events, and a bound
+        // that is too large only widens claims).
         let mut bound = net.range_bound();
         for e in events {
             match e {
@@ -514,7 +535,7 @@ mod tests {
 
     /// Routing is stable across repeated identical slices (the
     /// steady-state shape the allocation smoke test pins), and the
-    /// ghost overlay tracks in-slice moves like the batch planner.
+    /// ghost overlay tracks in-slice moves.
     #[test]
     fn routing_is_idempotent_and_ghost_tracked() {
         let mut net = Network::new(5.0);

@@ -142,12 +142,11 @@ pub fn corridor_joins() -> ScenarioSpec {
 /// length) dotted with dense, well-separated Poisson-clustered hot
 /// spots, joins in the thousands, then a **sustained-churn phase**
 /// (interleaved joins, leaves, and moves on the standing population).
-/// This is the workload the dense-slab storage and the sharded
-/// executors exist for — run it with `Execution::Batched { workers }`
-/// (`minim-lab run metropolis --batched 8`) for per-slice sharding, or
-/// `Execution::Resident { workers }` (`--resident 8`) to keep
-/// persistent spatial-ownership shards alive across the churn, both
-/// bit-identical to sequential execution. The churn phase is what
+/// This is the workload the dense-slab storage and the resident
+/// executor exist for — run it with `Execution::Resident { workers }`
+/// (`minim-lab run metropolis --resident 8`) to keep persistent
+/// spatial-ownership shards alive across the churn, bit-identical to
+/// sequential execution. The churn phase is what
 /// actually exercises the resident executor's steady state: slice
 /// after slice against standing shard subnetworks, with the lab
 /// reporting shard health (`shards`, `widest`, border fraction,

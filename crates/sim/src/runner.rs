@@ -17,7 +17,7 @@ use minim_geom::Point;
 use minim_graph::conflict;
 use minim_net::event::{apply_topology, apply_topology_delta, Event};
 use minim_net::workload::MovementWorkload;
-use minim_net::{BatchPlan, BatchScratch, Disposition, Network, NodeConfig, ShardMap, SliceRoute};
+use minim_net::{Disposition, Network, NodeConfig, ShardMap, SliceRoute};
 use rand::Rng;
 use std::sync::Mutex;
 
@@ -190,216 +190,17 @@ pub enum Execution {
     /// One event at a time, in order — [`run_events`].
     #[default]
     Sequential,
-    /// Conflict-free waves with concurrent recode planning —
-    /// [`run_events_batched`] with the given worker count. Pinned
-    /// bit-identical to [`Execution::Sequential`]; worthwhile for
-    /// large-N single scenarios (the `metropolis` preset), where one
-    /// replicate is itself the bottleneck.
-    Batched {
-        /// Planning worker threads per replicate.
-        workers: usize,
-    },
     /// Persistent spatial-ownership shards — a [`ResidentExecutor`]
     /// kept alive across slices, so steady-state churn routes events
-    /// to long-lived resident subnetworks in `O(events)` instead of
-    /// re-planning and re-extracting `O(N)` state per slice. Pinned
-    /// bit-identical to [`Execution::Sequential`]
-    /// (`tests/resident_equivalence.rs`).
+    /// to long-lived resident subnetworks in `O(events)` without
+    /// touching `O(N)` state per slice. Pinned bit-identical to
+    /// [`Execution::Sequential`] (`tests/resident_equivalence.rs`);
+    /// worthwhile for large-N single scenarios (the `metropolis`
+    /// preset), where one replicate is itself the bottleneck.
     Resident {
         /// Wave worker threads per replicate.
         workers: usize,
     },
-}
-
-/// What one shard's isolated execution reports back for the merge.
-struct ShardRun {
-    /// The shard's subnetwork after all of its events ran.
-    sub: Network,
-    /// Recodings performed across the shard's events.
-    recodings: usize,
-    /// Summed per-event edge churn.
-    edge_churn: usize,
-}
-
-/// Executes one shard's events end-to-end on its private subnetwork:
-/// topology (with pinned join ids), recode planning through the same
-/// `plan_batched` path the sequential handlers use, commit, and
-/// optional delta validation.
-fn run_shard(
-    strategy: &(dyn RecodingStrategy + Sync),
-    mut sub: Network,
-    events: &[Event],
-    shard: &[usize],
-    plan: &BatchPlan,
-    mode: ValidationMode,
-) -> ShardRun {
-    let mut recodings = 0usize;
-    let mut edge_churn = 0usize;
-    for &i in shard {
-        let (applied, delta) = apply_topology_delta(&mut sub, &events[i], plan.join_id(i));
-        let color_plan = strategy.plan_batched(&sub, &applied, &delta);
-        let outcome = commit_plan(&mut sub, &color_plan);
-        recodings += outcome.recodings();
-        edge_churn += delta.edge_churn();
-        if mode == ValidationMode::Delta {
-            let seeds = minim_core::validation_seeds(&delta, &outcome);
-            if let Err(v) = conflict::validate_delta(sub.graph(), sub.assignment(), &seeds) {
-                panic!("event {applied:?} left a CA1/CA2 violation: {v}");
-            }
-        }
-    }
-    ShardRun {
-        sub,
-        recodings,
-        edge_churn,
-    }
-}
-
-/// [`run_events`] with intra-scenario parallelism — the sharded batch
-/// executor. [`BatchPlan`] partitions `events` into spatially
-/// independent shards; each shard then executes **end-to-end**
-/// (topology, recode planning, commit, validation) on a private
-/// subnetwork holding exactly the nodes inside the shard's claimed
-/// region, with all shards running concurrently on `workers` threads.
-/// Afterwards the main network is brought up to date: the event
-/// topology is replayed in original order (cheap — `O(Δ)` per event)
-/// and each shard's final colors are copied back (shards write
-/// disjoint node sets, so the merge order is immaterial).
-///
-/// **Bit-identical to [`run_events_validated`]** for every strategy:
-/// the shard partition is conservative (everything a shard's events
-/// read or write lies inside its claimed region, and distinct shards'
-/// regions are disjoint), events keep their relative order within a
-/// shard, join ids are pre-assigned in sequential order, and the
-/// batchable strategies' sequential handlers run through the same
-/// `plan_batched` + `commit_plan` decomposition the shards use.
-/// Strategies that declare [`BatchLocality::Global`] (BBB,
-/// instrumentation wrappers), [`ValidationMode::Full`] runs, worker
-/// counts ≤ 1, and single-shard plans (spatially inseparable batches,
-/// e.g. global movement rounds) all fall back to the sequential path —
-/// correctness never depends on the caller picking the right mode.
-///
-/// # Panics
-/// Panics on the first event whose aftermath violates CA1/CA2 (when
-/// validating), like the sequential runner.
-pub fn run_events_batched(
-    strategy: &mut (dyn RecodingStrategy + Sync),
-    net: &mut Network,
-    events: &[Event],
-    mode: ValidationMode,
-    workers: usize,
-) -> PhaseMetrics {
-    run_events_batched_with(
-        strategy,
-        net,
-        events,
-        mode,
-        workers,
-        &mut BatchScratch::default(),
-    )
-}
-
-/// [`run_events_batched`] with caller-held planning buffers: repeated
-/// slices recycle the union-find, shard vectors, and claim maps
-/// through `scratch` instead of reallocating them per slice (the
-/// legacy-path half of the allocation discipline;
-/// `tests/alloc_smoke.rs` pins the planner side). The `events` bench's
-/// `resident-vs-replan` arm runs the replan arm through this so the
-/// comparison isolates the *architecture* (persistent shards vs
-/// per-slice replanning), not allocator noise.
-pub fn run_events_batched_with(
-    strategy: &mut (dyn RecodingStrategy + Sync),
-    net: &mut Network,
-    events: &[Event],
-    mode: ValidationMode,
-    workers: usize,
-    scratch: &mut BatchScratch,
-) -> PhaseMetrics {
-    if workers <= 1
-        || events.len() <= 1
-        || strategy.batch_locality() == BatchLocality::Global
-        || mode == ValidationMode::Full
-    {
-        return run_events_validated(strategy, net, events, mode);
-    }
-    // Phase timings land on minim-obs spans (`batch.plan` /
-    // `batch.extract` / `batch.shards` / `batch.merge`) — run the lab
-    // with `--metrics-out` to see the profile tree.
-    let plan = {
-        let _span = minim_obs::span!("batch.plan");
-        BatchPlan::new_with(scratch, net, events)
-    };
-    if plan.shard_count() <= 1 {
-        plan.recycle(scratch);
-        return run_events_validated(strategy, net, events, mode);
-    }
-    let strategy: &(dyn RecodingStrategy + Sync) = strategy;
-
-    // Populate each shard's subnetwork with the present nodes inside
-    // its claimed region (configuration + color). Everything a shard
-    // reads or writes lives there; nodes outside every claim are
-    // untouched by the whole batch.
-    // `fresh_like` preserves the cell hint, the flat/stratified index
-    // mode, and the obstacle set, so shards execute with the same
-    // index behavior as the parent network.
-    let extract_span = minim_obs::span!("batch.extract");
-    let mut subs: Vec<Network> = (0..plan.shard_count()).map(|_| net.fresh_like()).collect();
-    for id in net.iter_nodes().collect::<Vec<_>>() {
-        let cfg = net.config(id).expect("listed node has a config");
-        if let Some(s) = plan.shard_of_point(&cfg.pos) {
-            subs[s].insert_node(id, cfg);
-            if let Some(c) = net.assignment().get(id) {
-                subs[s].set_color(id, c);
-            }
-        }
-    }
-
-    // Run every shard concurrently. Each job takes ownership of its
-    // subnetwork; the shared state (strategy, events, plan) is
-    // read-only.
-    let jobs: Vec<(usize, Mutex<Option<Network>>)> = subs
-        .drain(..)
-        .map(|sub| Mutex::new(Some(sub)))
-        .enumerate()
-        .collect();
-    drop(extract_span);
-    let results = {
-        let _span = minim_obs::span!("batch.shards");
-        parallel_map(&jobs, workers, |(s, slot)| {
-            let sub = slot
-                .lock()
-                .expect("subnet slot poisoned")
-                .take()
-                .expect("each shard job runs exactly once");
-            run_shard(strategy, sub, events, &plan.shards()[*s], &plan, mode)
-        })
-    };
-
-    // Merge: replay the topology on the main network in original event
-    // order (identical deltas — each shard's subgraph is faithful),
-    // then copy back each shard's colors. Shards write disjoint node
-    // sets; unrecoded nodes are rewritten with their existing color.
-    let merge_span = minim_obs::span!("batch.merge");
-    for (i, e) in events.iter().enumerate() {
-        apply_topology_delta(net, e, plan.join_id(i));
-    }
-    let mut recodings = 0usize;
-    let mut edge_churn = 0usize;
-    for r in &results {
-        recodings += r.recodings;
-        edge_churn += r.edge_churn;
-        for (n, c) in r.sub.assignment().iter() {
-            net.assignment_mut().set(n, c);
-        }
-    }
-    drop(merge_span);
-    plan.recycle(scratch);
-    PhaseMetrics {
-        recodings,
-        max_color: net.max_color_index(),
-        edge_churn,
-        shard_health: None,
-    }
 }
 
 /// Default resident shard count. Deliberately a constant rather than
@@ -410,12 +211,10 @@ pub fn run_events_batched_with(
 /// the caller brings (shards are dealt across threads).
 pub const DEFAULT_RESIDENT_SHARDS: usize = 8;
 
-/// The tentpole of the resident path: long-lived spatial-ownership
-/// shards that survive across event slices.
+/// [`run_events`] with intra-scenario parallelism: long-lived
+/// spatial-ownership shards that survive across event slices.
 ///
-/// Where [`run_events_batched`] re-plans shards and re-extracts
-/// subnetworks from scratch on **every** slice (`O(N)` per slice just
-/// to start), a `ResidentExecutor` seeds a persistent
+/// A `ResidentExecutor` seeds a persistent
 /// [`ShardMap`] once and keeps one **resident subnetwork per shard**
 /// — configurations, colors, spatial index, and recycled rewire
 /// scratch — alive between [`ResidentExecutor::run`] calls. Each
@@ -456,9 +255,8 @@ pub struct ResidentExecutor {
 struct ResidentState {
     map: ShardMap,
     /// `Mutex<Option<..>>` so wave jobs can take their shard's
-    /// subnetwork by value across `parallel_map` and hand it back —
-    /// the same idiom as the per-slice executor, but the networks
-    /// live here across slices instead of being rebuilt.
+    /// subnetwork by value across `parallel_map` and hand it back;
+    /// the networks live here across slices instead of being rebuilt.
     subs: Vec<Mutex<Option<Network>>>,
     route: SliceRoute,
     /// Per-shard queued event indices of the wave being accumulated.
@@ -726,11 +524,13 @@ impl ResidentExecutor {
         self.workers
     }
 
-    /// Runs one event slice on the resident path — the drop-in
-    /// replacement for [`run_events_batched`] that keeps shard state
+    /// Runs one event slice on the resident path, keeping shard state
     /// alive across calls. Falls back to [`run_events_validated`]
-    /// (dropping the shard state) under the same conditions as the
-    /// per-slice executor.
+    /// (dropping the shard state) when the executor has ≤ 1 worker,
+    /// the slice has ≤ 1 event, the strategy declares
+    /// [`BatchLocality::Global`] (BBB, instrumentation wrappers), or
+    /// `mode` is [`ValidationMode::Full`] — correctness never depends
+    /// on the caller picking the right path.
     ///
     /// # Panics
     /// Panics on the first event whose aftermath violates CA1/CA2
@@ -1039,26 +839,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_matches_sequential_on_joins() {
-        for kind in StrategyKind::ALL {
-            let mut rng = StdRng::seed_from_u64(21);
-            let events = JoinWorkload::paper(60).generate(&mut rng);
-            let mut seq_net = Network::new(25.0);
-            let mut s = kind.build();
-            let seq = run_events(&mut *s, &mut seq_net, &events);
-            for workers in [1usize, 4, 8] {
-                let mut net = Network::new(25.0);
-                let mut s = kind.build();
-                let got =
-                    run_events_batched(&mut *s, &mut net, &events, ValidationMode::Off, workers);
-                assert_eq!(got, seq, "{kind:?} at {workers} workers");
-                assert_eq!(net.snapshot_assignment(), seq_net.snapshot_assignment());
-                assert_eq!(net.describe(), seq_net.describe());
-            }
-        }
-    }
-
-    #[test]
     fn resident_matches_sequential_across_slices() {
         for kind in StrategyKind::ALL {
             let mut rng = StdRng::seed_from_u64(21);
@@ -1101,17 +881,6 @@ mod tests {
         assert!(h.border_events <= h.events);
         assert!(h.shards >= 1);
         assert!(h.widest_shard >= 1);
-    }
-
-    #[test]
-    fn batched_validates_deltas_like_sequential() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let events = JoinWorkload::paper(40).generate(&mut rng);
-        let mut net = Network::new(25.0);
-        let mut s = Minim::default();
-        let m = run_events_batched(&mut s, &mut net, &events, ValidationMode::Delta, 4);
-        assert!(m.recodings >= 40);
-        assert!(net.validate().is_ok());
     }
 
     #[test]

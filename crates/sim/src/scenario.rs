@@ -22,9 +22,7 @@
 use crate::json::{self, Json};
 use crate::metrics::{Stats, Table};
 use crate::par::{default_workers, parallel_map};
-use crate::runner::{
-    run_events, run_events_batched, Execution, ResidentExecutor, ShardHealth, ValidationMode,
-};
+use crate::runner::{run_events, Execution, ResidentExecutor, ShardHealth, ValidationMode};
 use minim_core::StrategyKind;
 use minim_geom::sample::child_seed;
 use minim_geom::{sample, Point, Rect, Segment};
@@ -51,7 +49,7 @@ pub struct ExperimentConfig {
     pub seed: u64,
     /// Worker threads for the replicate fan-out.
     pub workers: usize,
-    /// How each replicate's event stream executes. [`Execution::Batched`]
+    /// How each replicate's event stream executes. [`Execution::Resident`]
     /// parallelizes *within* one replicate (conflict-free event waves;
     /// bit-identical results) — the right knob when replicates are few
     /// and huge, as in the `metropolis` preset; the replicate fan-out
@@ -1377,9 +1375,6 @@ fn run_round(
 ) -> crate::runner::PhaseMetrics {
     match execution {
         Execution::Sequential => run_events(s, net, round),
-        Execution::Batched { workers } => {
-            run_events_batched(s, net, round, ValidationMode::Off, workers)
-        }
         Execution::Resident { workers } => resident
             .get_or_insert_with(|| ResidentExecutor::new(workers))
             .run(s, net, round, ValidationMode::Off),

@@ -31,7 +31,7 @@
 use minim_geom::{Point, Segment};
 use minim_graph::NodeId;
 use minim_net::event::Event;
-use minim_net::{BatchPlan, BatchScratch, Network, NodeConfig, ShardMap, SliceRoute};
+use minim_net::{Network, NodeConfig, ShardMap, SliceRoute};
 use minim_power::{PowerLoopConfig, PowerSession};
 use minim_serve::{Engine, EngineOptions, MemFs};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -191,14 +191,12 @@ fn steady_state_rewire_allocates_nothing() {
         after - before
     );
 
-    // --- Phase 4: batched-churn planning and resident routing. ---
-    // The two planning layers of the churn executors are read-only
-    // against the network, so an identical slice replans/reroutes to
-    // the identical result every cycle — the steady-state shape of a
-    // scenario phase. A warm `BatchScratch` must absorb every buffer
-    // `BatchPlan::new_with` needs (with `recycle` handing the plan's
-    // own containers back), and a warm `ShardMap` + `SliceRoute` must
-    // route from recycled buffers once annexation has settled.
+    // --- Phase 4: resident routing. ---
+    // The resident executor's planning layer is read-only against the
+    // network, so an identical slice reroutes to the identical result
+    // every cycle — the steady-state shape of a scenario phase. A warm
+    // `ShardMap` + `SliceRoute` must route from recycled buffers once
+    // annexation has settled.
     let slice = vec![
         Event::Move {
             node: mover,
@@ -220,19 +218,14 @@ fn steady_state_rewire_allocates_nothing() {
         Event::Join { cfg: churn_cfg },
     ];
 
-    let mut scratch = BatchScratch::default();
     let mut map = ShardMap::seed(&net, 4);
     let mut route = SliceRoute::default();
     for _ in 0..12 {
-        let plan = BatchPlan::new_with(&mut scratch, &net, &slice);
-        plan.recycle(&mut scratch);
         map.route(&net, &slice, &mut route);
     }
 
     let before = ALLOCS.load(Ordering::SeqCst);
     for _ in 0..25 {
-        let plan = BatchPlan::new_with(&mut scratch, &net, &slice);
-        plan.recycle(&mut scratch);
         map.route(&net, &slice, &mut route);
     }
     let after = ALLOCS.load(Ordering::SeqCst);
@@ -240,7 +233,7 @@ fn steady_state_rewire_allocates_nothing() {
     assert_eq!(
         after - before,
         0,
-        "steady-state batch planning + shard routing must be allocation-free, \
+        "steady-state shard routing must be allocation-free, \
          saw {} allocations over 25 cycles",
         after - before
     );
@@ -248,7 +241,7 @@ fn steady_state_rewire_allocates_nothing() {
     // --- Phase 5: observability is allocation-inert on the journal. ---
     // Every phase above already ran with the minim-obs registry
     // recording (the default), so their zeros pin instrumented rewire,
-    // settle, and batch planning. The serve engine's apply path
+    // settle, and shard routing. The serve engine's apply path
     // allocates by design (event/frame encoding, MemFs growth,
     // snapshot rotation), so its pin is differential: two fresh
     // engines fed byte-identical workloads — one with observability

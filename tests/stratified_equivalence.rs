@@ -5,7 +5,7 @@
 //! single-tier, monotone-watermark arm) must be **bit-identical** in
 //! everything observable: the induced topology after any event
 //! sequence, every strategy's recodings and final assignment, and the
-//! sharded batch executor's results — only costs may differ. The
+//! resident executor's results — only costs may differ. The
 //! index-level query equivalence is property-tested inside
 //! `minim-geom` (`strata`, `segindex`); this suite pins the
 //! network-level contract on full workloads:
@@ -18,14 +18,14 @@
 //!   wrong on *semantics*),
 //! * obstacle installation mid-stream (segment grid vs linear
 //!   line-of-sight), and
-//! * batched execution in both index modes.
+//! * sliced resident execution in both index modes.
 
 use minim::core::StrategyKind;
 use minim::geom::{Point, Rect, Segment};
 use minim::net::event::{apply_topology, Event};
 use minim::net::workload::{JoinWorkload, MixWorkload, Placement, RangeDist};
 use minim::net::{Network, NodeConfig};
-use minim::sim::runner::{run_events_batched, run_events_validated, ValidationMode};
+use minim::sim::runner::{run_events_validated, PhaseMetrics, ResidentExecutor, ValidationMode};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -186,6 +186,9 @@ fn obstacles_are_mode_invariant() {
     }
 }
 
+/// A clustered join stream fed in slices through the resident
+/// executor (shard subnetworks built with `Network::fresh_like`, so
+/// they inherit the index mode) matches sequential in both modes.
 #[test]
 fn batched_execution_is_mode_invariant() {
     let mut rng = StdRng::seed_from_u64(11);
@@ -214,7 +217,14 @@ fn batched_execution_is_mode_invariant() {
             Network::new(25.0)
         };
         let mut s = StrategyKind::Minim.build();
-        let got = run_events_batched(&mut *s, &mut net, &events, ValidationMode::Off, 4);
+        let mut exec = ResidentExecutor::new(4);
+        let mut got = PhaseMetrics::default();
+        for slice in events.chunks(50) {
+            let m = exec.run(&mut *s, &mut net, slice, ValidationMode::Off);
+            got.recodings += m.recodings;
+            got.edge_churn += m.edge_churn;
+            got.max_color = m.max_color;
+        }
         assert_eq!(got, want, "flat={flat}");
         assert_eq!(net.describe(), seq.describe(), "flat={flat}");
     }
