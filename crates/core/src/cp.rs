@@ -42,7 +42,7 @@ use crate::{
 };
 use minim_geom::Point;
 use minim_graph::{conflict, hops};
-use minim_graph::{Color, ColorView, NodeId};
+use minim_graph::{Color, ColorBits, ColorView, NodeId};
 use minim_net::event::{AppliedEvent, PowerDirection};
 use minim_net::{Network, NodeConfig, TopologyDelta};
 use std::collections::{HashMap, HashSet};
@@ -82,7 +82,7 @@ impl Cp {
 
     /// Fills `avoid` with the colors a reselecting node must avoid, as
     /// the plan currently sees them (its own earlier writes included,
-    /// via the view). `partners` is conflict-set scratch; both buffers
+    /// via the view). `bits` is constraint-bitset scratch; both buffers
     /// are reused across the reselection loop, so the per-node heap
     /// traffic of a CP plan is gone in the exact-constraints arm (the
     /// default 2-hop arm still walks a BFS, which allocates its
@@ -92,11 +92,11 @@ impl Cp {
         net: &Network,
         view: &ColorView<'_>,
         u: NodeId,
-        partners: &mut Vec<NodeId>,
+        bits: &mut ColorBits,
         avoid: &mut Vec<Color>,
     ) {
         if self.exact_constraints {
-            conflict::constraint_colors_into(net.graph(), view, u, partners, avoid);
+            conflict::constraint_colors_into(net.graph(), view, u, bits, avoid);
         } else {
             avoid.clear();
             avoid.extend(
@@ -129,10 +129,10 @@ impl Cp {
         // Highest identity selects first.
         to_recolor.sort_unstable_by(|a, b| b.cmp(a));
         let mut plan = Vec::with_capacity(to_recolor.len());
-        let mut partners: Vec<NodeId> = Vec::new();
+        let mut bits = ColorBits::new();
         let mut avoid: Vec<Color> = Vec::new();
         for &u in &to_recolor {
-            self.avoid_colors_into(net, view, u, &mut partners, &mut avoid);
+            self.avoid_colors_into(net, view, u, &mut bits, &mut avoid);
             let c = Color::lowest_excluding_sorted(&avoid);
             view.set(u, c);
             plan.push((u, c));

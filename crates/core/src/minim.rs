@@ -26,7 +26,7 @@ use crate::{
 };
 use minim_geom::Point;
 use minim_graph::conflict;
-use minim_graph::{Color, NodeId};
+use minim_graph::{Assignment, Color, ColorBits, DiGraph, NodeId};
 use minim_matching::{max_weight_matching, WeightedBipartite};
 use minim_net::event::{AppliedEvent, PowerDirection};
 use minim_net::{Network, NodeConfig, TopologyDelta};
@@ -107,19 +107,17 @@ impl Minim {
         set_colors.sort_unstable();
         let distinct = set_colors.windows(2).all(|w| w[0] != w[1]);
         if distinct && self.keep_weight > 1 {
-            let n_constraints = conflict::constraint_colors(net.graph(), assignment, n);
+            let mut n_constraints = ColorBits::new();
+            conflict::constraint_bits_into(net.graph(), assignment, n, &mut n_constraints);
             match assignment.get(n) {
                 Some(c) => {
-                    if n_constraints.binary_search(&c).is_err() {
+                    if !n_constraints.contains(c) {
                         // Nothing clashes: zero recodings.
                         return Vec::new();
                     }
                     // External clash: full matching below.
                 }
-                None => {
-                    // `constraint_colors` returns sorted + deduplicated.
-                    return vec![(n, Color::lowest_excluding_sorted(&n_constraints))];
-                }
+                None => return vec![(n, n_constraints.lowest_absent())],
             }
         }
 
@@ -159,11 +157,15 @@ impl Minim {
                     None => true,
                 };
                 if clash {
-                    // Repick against the full (old ∪ new) constraints
-                    // (sorted + deduplicated by `constraint_colors`).
-                    let constraints =
-                        conflict::constraint_colors(net.graph(), net.assignment(), id);
-                    vec![(id, Color::lowest_excluding_sorted(&constraints))]
+                    // Repick against the full (old ∪ new) constraints.
+                    let mut constraints = ColorBits::new();
+                    conflict::constraint_bits_into(
+                        net.graph(),
+                        net.assignment(),
+                        id,
+                        &mut constraints,
+                    );
+                    vec![(id, constraints.lowest_absent())]
                 } else {
                     Vec::new()
                 }
@@ -182,24 +184,70 @@ impl Minim {
 /// cross-check the inputs it reconstructs from messages against the
 /// global-state view.
 pub fn gather_recode_inputs(net: &Network, set: &[NodeId]) -> (Vec<Option<Color>>, Vec<Vec<u32>>) {
+    gather(net.graph(), net.assignment(), set)
+}
+
+/// [`gather_recode_inputs`] over a bare graph and assignment.
+///
+/// The members of a dense recode set share most of their receivers, so
+/// the CA2 half of every member's two-hop walk is done once per event:
+/// each receiver `w` of the set gets a color bitset of `in(w) \ set`,
+/// and a member's forbidden set is the colors of `(out(u) ∪ in(u)) \
+/// set` OR-ed with the bitsets of its receivers. Cost is
+/// `O(Σ_w |in(w)| + Σ_u (deg(u) + |out(u)|·words))` with
+/// `words = max_color / 64 + 1`, against `O(Σ_u Σ_{w ∈ out(u)}
+/// |in(w)|)` plus a sort per member for the per-member walk.
+fn gather(g: &DiGraph, a: &Assignment, set: &[NodeId]) -> (Vec<Option<Color>>, Vec<Vec<u32>>) {
+    debug_assert!(set.windows(2).all(|w| w[0] < w[1]), "set must be sorted");
+    let words = a.max_color_index() as usize / 64 + 1;
+    let outside = |x: NodeId| set.binary_search(&x).is_err();
+
+    let mut receivers: Vec<NodeId> = set
+        .iter()
+        .flat_map(|&m| g.out_neighbors(m).iter().copied())
+        .collect();
+    receivers.sort_unstable();
+    receivers.dedup();
+    // Row `i` holds the colors of `in(receivers[i]) \ set`. A color's
+    // bit is tested before the (costlier) set-membership search.
+    let mut shared = vec![0u64; receivers.len() * words];
+    for (row, &w) in shared.chunks_exact_mut(words).zip(&receivers) {
+        for &x in g.in_neighbors(w) {
+            if let Some(c) = a.get(x) {
+                let k = c.index() as usize;
+                let bit = 1u64 << (k % 64);
+                if row[k / 64] & bit == 0 && outside(x) {
+                    row[k / 64] |= bit;
+                }
+            }
+        }
+    }
+
     let mut old = Vec::with_capacity(set.len());
     let mut forbidden = Vec::with_capacity(set.len());
-    // One conflict-partner buffer reused across the whole set — the
-    // per-member set+Vec allocations of `conflicts_of` were the
-    // dominant heap traffic of a recode plan.
-    let mut partners: Vec<NodeId> = Vec::new();
+    let mut bits = ColorBits::new();
     for &u in set {
-        old.push(net.assignment().get(u));
-        conflict::conflicts_of_into(net.graph(), u, &mut partners);
-        let mut ext: Vec<u32> = partners
-            .iter()
-            .filter(|p| set.binary_search(p).is_err())
-            .filter_map(|&p| net.assignment().get(p))
-            .map(|c| c.index())
-            .collect();
-        ext.sort_unstable();
-        ext.dedup();
-        forbidden.push(ext);
+        old.push(a.get(u));
+        bits.clear();
+        for &p in g.out_neighbors(u).iter().chain(g.in_neighbors(u)) {
+            if let Some(c) = a.get(p) {
+                if !bits.contains(c) && outside(p) {
+                    bits.insert(c);
+                }
+            }
+        }
+        // `out(u)` ascends, so each receiver's row lies at or after the
+        // previous one's.
+        let mut from = 0;
+        for &w in g.out_neighbors(u) {
+            let i = from
+                + receivers[from..]
+                    .binary_search(&w)
+                    .expect("w is a receiver");
+            bits.union_words(&shared[i * words..(i + 1) * words]);
+            from = i + 1;
+        }
+        forbidden.push(bits.iter().map(Color::index).collect());
     }
     (old, forbidden)
 }
@@ -758,6 +806,98 @@ mod tests {
                 let w9 = count(&plan_recode(&old, &forbidden, 9));
                 prop_assert_eq!(w3, w5);
                 prop_assert_eq!(w3, w9);
+            }
+        }
+    }
+
+    mod gather_properties {
+        use super::super::gather;
+        use minim_graph::{conflict, Assignment, Color, DiGraph, NodeId};
+        use proptest::prelude::*;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        /// The per-member two-hop walk the shared-receiver gather
+        /// replaced: every member's conflict partners, filtered to
+        /// those outside the set, mapped to colors, sorted, deduped.
+        fn reference_gather(
+            g: &DiGraph,
+            a: &Assignment,
+            set: &[NodeId],
+        ) -> (Vec<Option<Color>>, Vec<Vec<u32>>) {
+            let mut old = Vec::with_capacity(set.len());
+            let mut forbidden = Vec::with_capacity(set.len());
+            for &u in set {
+                old.push(a.get(u));
+                let mut ext: Vec<u32> = conflict::conflicts_of(g, u)
+                    .into_iter()
+                    .filter(|p| set.binary_search(p).is_err())
+                    .filter_map(|p| a.get(p))
+                    .map(|c| c.index())
+                    .collect();
+                ext.sort_unstable();
+                ext.dedup();
+                forbidden.push(ext);
+            }
+            (old, forbidden)
+        }
+
+        proptest! {
+            /// The shared-receiver gather equals the per-member walk on
+            /// random digraphs. `shape` bit 0 adds a hub receiver every
+            /// member transmits into (overlapping out-neighbourhoods),
+            /// bit 1 strips the out-edges of every other member;
+            /// colors reach about 200 (one to four bitset words) and
+            /// some nodes are uncolored.
+            #[test]
+            fn shared_receiver_gather_matches_reference(
+                k in 2u32..50,
+                density in 0.0f64..0.5,
+                max_color in 1u32..210,
+                uncolored in 0.0f64..0.3,
+                members in 0.05f64..1.0,
+                shape in 0u32..4,
+                seed in 0u64..u64::MAX,
+            ) {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut g = DiGraph::new();
+                for i in 0..k {
+                    g.insert_node(NodeId(i));
+                }
+                for u in 0..k {
+                    for v in 0..k {
+                        if u != v && rng.gen_bool(density) {
+                            g.add_edge(NodeId(u), NodeId(v));
+                        }
+                    }
+                }
+                let a: Assignment = (0..k)
+                    .filter_map(|i| {
+                        let colored = !rng.gen_bool(uncolored);
+                        colored.then(|| (NodeId(i), Color::new(rng.gen_range(1..=max_color))))
+                    })
+                    .collect();
+                let mut set: Vec<NodeId> =
+                    (0..k).filter(|_| rng.gen_bool(members)).map(NodeId).collect();
+                if set.is_empty() {
+                    set.push(NodeId(rng.gen_range(0..k)));
+                }
+                if shape & 1 != 0 {
+                    let hub = NodeId(rng.gen_range(0..k));
+                    for &m in &set {
+                        if m != hub {
+                            g.add_edge(m, hub);
+                        }
+                    }
+                }
+                if shape & 2 != 0 {
+                    for &m in set.iter().step_by(2) {
+                        for w in g.out_neighbors(m).to_vec() {
+                            g.remove_edge(m, w);
+                        }
+                    }
+                }
+                prop_assert_eq!(gather(&g, &a, &set), reference_gather(&g, &a, &set));
             }
         }
     }

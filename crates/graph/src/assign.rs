@@ -102,6 +102,102 @@ impl fmt::Display for Color {
     }
 }
 
+/// A set of colors as a bitset: bit `k` of word `k / 64` stands for
+/// color `k` (bit 0 is never set; colors are positive).
+///
+/// The constraint helpers fill one per queried node instead of
+/// collecting, sorting and deduplicating a color list: a membership
+/// test is one bit test, the lowest free color is a trailing-ones
+/// count, and iteration yields colors in ascending order. The word
+/// vector grows on insert and keeps its capacity across
+/// [`ColorBits::clear`].
+///
+/// ```
+/// use minim_graph::{Color, ColorBits};
+/// let mut bits = ColorBits::new();
+/// bits.insert(Color::new(1));
+/// bits.insert(Color::new(3));
+/// assert!(bits.contains(Color::new(3)));
+/// assert_eq!(bits.lowest_absent(), Color::new(2));
+/// assert_eq!(bits.iter().map(Color::index).collect::<Vec<_>>(), [1, 3]);
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct ColorBits {
+    words: Vec<u64>,
+}
+
+impl ColorBits {
+    /// An empty set.
+    pub fn new() -> Self {
+        ColorBits::default()
+    }
+
+    /// Empties the set, keeping its allocation.
+    #[inline]
+    pub fn clear(&mut self) {
+        self.words.fill(0);
+    }
+
+    /// Whether `c` is in the set.
+    #[inline]
+    pub fn contains(&self, c: Color) -> bool {
+        let k = c.0 as usize;
+        self.words
+            .get(k / 64)
+            .is_some_and(|w| w & (1 << (k % 64)) != 0)
+    }
+
+    /// Adds `c` to the set.
+    #[inline]
+    pub fn insert(&mut self, c: Color) {
+        let k = c.0 as usize;
+        if k / 64 >= self.words.len() {
+            self.words.resize(k / 64 + 1, 0);
+        }
+        self.words[k / 64] |= 1 << (k % 64);
+    }
+
+    /// Adds every color of the raw bitset `words` (same layout as
+    /// this set's words) to the set.
+    #[inline]
+    pub fn union_words(&mut self, words: &[u64]) {
+        if words.len() > self.words.len() {
+            self.words.resize(words.len(), 0);
+        }
+        for (a, &b) in self.words.iter_mut().zip(words) {
+            *a |= b;
+        }
+    }
+
+    /// The smallest color not in the set — the "lowest available
+    /// color" rule of [`Color::lowest_excluding`].
+    pub fn lowest_absent(&self) -> Color {
+        for (i, &w) in self.words.iter().enumerate() {
+            // Bit 0 is no color; treat it as taken.
+            let w = if i == 0 { w | 1 } else { w };
+            if w != u64::MAX {
+                return Color((i * 64) as u32 + w.trailing_ones());
+            }
+        }
+        Color((self.words.len() * 64).max(1) as u32)
+    }
+
+    /// The colors in the set, ascending.
+    pub fn iter(&self) -> impl Iterator<Item = Color> + '_ {
+        self.words.iter().enumerate().flat_map(|(i, &w)| {
+            let mut rest = w;
+            std::iter::from_fn(move || {
+                if rest == 0 {
+                    return None;
+                }
+                let b = rest.trailing_zeros();
+                rest &= rest - 1;
+                Some(Color(i as u32 * 64 + b))
+            })
+        })
+    }
+}
+
 /// A (partial) code assignment: node → color.
 ///
 /// Nodes without an entry are *uncolored* (e.g. a node that has not yet
@@ -342,6 +438,50 @@ mod tests {
         assert_eq!(Color::lowest_excluding([c(2), c(4)]), c(1));
         assert_eq!(Color::lowest_excluding([c(1), c(3)]), c(2));
         assert_eq!(Color::lowest_excluding([c(1), c(1), c(2)]), c(3));
+    }
+
+    fn bits_of(colors: impl IntoIterator<Item = u32>) -> ColorBits {
+        let mut bits = ColorBits::new();
+        for k in colors {
+            bits.insert(c(k));
+        }
+        bits
+    }
+
+    #[test]
+    fn color_bits_lowest_absent_crosses_word_boundaries() {
+        assert_eq!(ColorBits::new().lowest_absent(), c(1));
+        assert_eq!(bits_of(1..=63).lowest_absent(), c(64));
+        assert_eq!(bits_of(1..=127).lowest_absent(), c(128));
+        assert_eq!(bits_of(1..=64).lowest_absent(), c(65));
+        assert_eq!(bits_of((1..=63).chain([65])).lowest_absent(), c(64));
+        assert_eq!(bits_of([2, 64, 65]).lowest_absent(), c(1));
+        // A cleared set keeps its words but holds nothing.
+        let mut bits = bits_of(1..=200);
+        bits.clear();
+        assert_eq!(bits.lowest_absent(), c(1));
+        assert!(!bits.contains(c(200)));
+    }
+
+    #[test]
+    fn color_bits_agree_with_the_sorted_list_rules() {
+        let colors = [3, 1, 63, 64, 127, 128, 129, 200, 64];
+        let bits = bits_of(colors);
+        let mut sorted: Vec<Color> = colors.iter().map(|&k| c(k)).collect();
+        sorted.sort_unstable();
+        sorted.dedup();
+        assert_eq!(bits.iter().collect::<Vec<_>>(), sorted);
+        assert_eq!(
+            bits.lowest_absent(),
+            Color::lowest_excluding_sorted(&sorted)
+        );
+        for k in 1..=260 {
+            assert_eq!(bits.contains(c(k)), sorted.contains(&c(k)), "color {k}");
+        }
+        let mut union = bits_of([2]);
+        union.union_words(&bits.words);
+        assert_eq!(union.iter().count(), sorted.len() + 1);
+        assert_eq!(union.lowest_absent(), c(4));
     }
 
     #[test]

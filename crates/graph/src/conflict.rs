@@ -14,7 +14,7 @@
 //! \[9\]). The *constraints* of a node in the paper's terminology are the
 //! colors of its conflict partners.
 
-use crate::assign::{Assignment, Color, ColorRead};
+use crate::assign::{Assignment, Color, ColorBits, ColorRead};
 use crate::digraph::{DiGraph, NodeId};
 use crate::ugraph::UGraph;
 
@@ -217,23 +217,11 @@ pub fn violations(g: &DiGraph, a: &Assignment) -> Vec<Violation> {
 /// The conflict partners of `u`: every node that must differ in color
 /// from `u` under CA1 or CA2, sorted, deduplicated, excluding `u`.
 ///
-/// Allocates the result; per-event loops should prefer
-/// [`conflicts_of_into`], which reuses a caller-owned buffer.
+/// Minim's gather and the constraint helpers below do not build this
+/// list; they go straight from neighbors to color bitsets.
 pub fn conflicts_of(g: &DiGraph, u: NodeId) -> Vec<NodeId> {
-    let mut v = Vec::new();
-    conflicts_of_into(g, u, &mut v);
-    v
-}
-
-/// [`conflicts_of`] into a reusable buffer: `out` is cleared and
-/// filled with `u`'s conflict partners, sorted, deduplicated,
-/// excluding `u`. No other allocation happens once `out`'s capacity
-/// has warmed up — this is the validation/recode hot path (one call
-/// per recode-set member per event).
-pub fn conflicts_of_into(g: &DiGraph, u: NodeId, out: &mut Vec<NodeId>) {
-    out.clear();
     // CA1 partners: both edge directions.
-    out.extend_from_slice(g.out_neighbors(u));
+    let mut out = g.out_neighbors(u).to_vec();
     out.extend_from_slice(g.in_neighbors(u));
     // CA2 partners: other transmitters into u's receivers.
     for &w in g.out_neighbors(u) {
@@ -244,11 +232,12 @@ pub fn conflicts_of_into(g: &DiGraph, u: NodeId, out: &mut Vec<NodeId>) {
     if let Ok(i) = out.binary_search(&u) {
         out.remove(i);
     }
+    out
 }
 
 /// The colors `u` is forbidden to take — the paper's *constraints* of
-/// `u` — i.e. the colors currently assigned to its conflict partners.
-/// Uncolored partners impose no constraint.
+/// `u` — i.e. the colors currently assigned to its conflict partners,
+/// sorted and deduplicated. Uncolored partners impose no constraint.
 pub fn constraint_colors(g: &DiGraph, a: &Assignment, u: NodeId) -> Vec<Color> {
     constraint_colors_with(g, a, u)
 }
@@ -257,36 +246,68 @@ pub fn constraint_colors(g: &DiGraph, a: &Assignment, u: NodeId) -> Vec<Color> {
 /// batch-mode strategy planning, which reads colors through a
 /// [`crate::ColorView`] overlay instead of the committed assignment.
 pub fn constraint_colors_with<C: ColorRead>(g: &DiGraph, colors: &C, u: NodeId) -> Vec<Color> {
-    let mut partners = Vec::new();
+    let mut bits = ColorBits::new();
     let mut out = Vec::new();
-    constraint_colors_into(g, colors, u, &mut partners, &mut out);
+    constraint_colors_into(g, colors, u, &mut bits, &mut out);
     out
 }
 
-/// [`constraint_colors_with`] into reusable buffers: `partners` is
-/// scratch for the conflict set, `out` receives the sorted,
-/// deduplicated constraint colors. Both are cleared first; neither
-/// allocates once warm. Strategies call this once per reselecting
-/// node, so the buffered form removes two heap allocations per node
-/// from every recode plan.
+/// [`constraint_colors_with`] into reusable buffers: `bits` is the
+/// scratch bitset [`constraint_bits_into`] fills, `out` receives the
+/// sorted, deduplicated constraint colors. Both are cleared first;
+/// neither allocates once warm.
 pub fn constraint_colors_into<C: ColorRead>(
     g: &DiGraph,
     colors: &C,
     u: NodeId,
-    partners: &mut Vec<NodeId>,
+    bits: &mut ColorBits,
     out: &mut Vec<Color>,
 ) {
-    conflicts_of_into(g, u, partners);
+    constraint_bits_into(g, colors, u, bits);
     out.clear();
-    out.extend(partners.iter().filter_map(|&p| colors.color(p)));
-    out.sort_unstable();
-    out.dedup();
+    out.extend(bits.iter());
+}
+
+/// The constraints of `u` as a bitset: `bits` is cleared and filled
+/// with the colors of `u`'s CA1 partners (`out(u) ∪ in(u)`) and CA2
+/// partners (`in(w) \ {u}` for every receiver `w ∈ out(u)`).
+///
+/// This is the single-node constraint walk every strategy shares
+/// (Minim's fast path and power-increase repick, CP's reselection,
+/// gossip, the minimal bounds). It visits the same `O(Σ_w |in(w)|)`
+/// two-hop neighborhood as [`conflicts_of`] but builds no node-id list
+/// and sorts nothing: a membership test on the result is one bit test
+/// and the lowest free color is [`ColorBits::lowest_absent`].
+pub fn constraint_bits_into<C: ColorRead>(
+    g: &DiGraph,
+    colors: &C,
+    u: NodeId,
+    bits: &mut ColorBits,
+) {
+    bits.clear();
+    let mut add = |p: NodeId| {
+        if let Some(c) = colors.color(p) {
+            bits.insert(c);
+        }
+    };
+    for &p in g.out_neighbors(u).iter().chain(g.in_neighbors(u)) {
+        add(p);
+    }
+    for &w in g.out_neighbors(u) {
+        for &x in g.in_neighbors(w) {
+            if x != u {
+                add(x);
+            }
+        }
+    }
 }
 
 /// Whether assigning `candidate` to `u` would violate CA1/CA2 against
 /// the *current* colors of all other nodes (i.e. `u`'s constraints).
 pub fn color_ok(g: &DiGraph, a: &Assignment, u: NodeId, candidate: Color) -> bool {
-    !constraint_colors(g, a, u).contains(&candidate)
+    let mut bits = ColorBits::new();
+    constraint_bits_into(g, a, u, &mut bits);
+    !bits.contains(candidate)
 }
 
 /// Builds the full conflict graph as an undirected [`UGraph`], together
@@ -588,6 +609,78 @@ mod tests {
                 full.is_ok(),
                 "edge {u}→{v}: local {local:?} vs full {full:?}"
             );
+        }
+    }
+
+    mod constraint_properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// The list-based definition the bitset walk replaced: collect
+        /// the conflict partners, map them to colors, sort, dedup.
+        fn reference_constraint_colors(g: &DiGraph, a: &Assignment, u: NodeId) -> Vec<Color> {
+            let mut colors: Vec<Color> = conflicts_of(g, u)
+                .into_iter()
+                .filter_map(|p| a.get(p))
+                .collect();
+            colors.sort_unstable();
+            colors.dedup();
+            colors
+        }
+
+        proptest! {
+            /// On random digraphs with colors up to about 200 (one to
+            /// four bitset words) and some uncolored nodes, the bitset
+            /// walk yields exactly the sorted, deduplicated constraint
+            /// colors of every node, and its lowest free color agrees
+            /// with the sorted-list rule.
+            #[test]
+            fn constraint_bits_match_the_sorted_list_reference(
+                k in 1u32..40,
+                density in 0.0f64..0.4,
+                max_color in 1u32..210,
+                uncolored in 0.0f64..0.3,
+                seed in 0u64..u64::MAX,
+            ) {
+                use rand::rngs::StdRng;
+                use rand::{Rng, SeedableRng};
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut g = DiGraph::new();
+                for i in 0..k {
+                    g.insert_node(n(i));
+                }
+                for u in 0..k {
+                    for v in 0..k {
+                        if u != v && rng.gen_bool(density) {
+                            g.add_edge(n(u), n(v));
+                        }
+                    }
+                }
+                let a: Assignment = (0..k)
+                    .filter_map(|i| {
+                        let colored = !rng.gen_bool(uncolored);
+                        colored.then(|| (n(i), c(rng.gen_range(1..=max_color))))
+                    })
+                    .collect();
+                let mut bits = ColorBits::new();
+                let mut out = Vec::new();
+                for u in 0..k {
+                    let expected = reference_constraint_colors(&g, &a, n(u));
+                    constraint_colors_into(&g, &a, n(u), &mut bits, &mut out);
+                    prop_assert_eq!(&out, &expected);
+                    prop_assert_eq!(constraint_colors(&g, &a, n(u)), expected.clone());
+                    prop_assert_eq!(
+                        bits.lowest_absent(),
+                        Color::lowest_excluding_sorted(&expected)
+                    );
+                    for col in 1..=max_color + 1 {
+                        prop_assert_eq!(
+                            color_ok(&g, &a, n(u), c(col)),
+                            !expected.contains(&c(col))
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -38,7 +38,7 @@ pub mod hops;
 pub mod ugraph;
 pub mod unionfind;
 
-pub use assign::{Assignment, Color, ColorRead, ColorView};
+pub use assign::{Assignment, Color, ColorBits, ColorRead, ColorView};
 pub use components::{connected_components, Components};
 pub use digraph::{DiGraph, NodeId};
 pub use ugraph::UGraph;

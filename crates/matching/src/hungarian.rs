@@ -40,38 +40,43 @@ pub fn max_weight_matching(g: &WeightedBipartite) -> Matching {
         };
     }
 
-    // cost(i, j): negated weight for real edges, 0 for non-edges and
-    // dummy columns. 1-indexed internally (index 0 = sentinel).
-    let cost = |i: usize, j: usize| -> i64 {
-        // i, j are 1-indexed row/column.
-        if j <= rc {
-            g.weight(i - 1, j - 1).map_or(0, |w| -w)
-        } else {
-            0
+    // Dense costs, built once from the adjacency lists:
+    // `cost[l * rc + r]` is the negated weight of real edge (l, r) and
+    // 0 for a non-edge; dummy columns cost 0. The Dijkstra scans below
+    // index one row slice instead of searching `g` per cell. Rows and
+    // columns are 1-indexed in the loops (index 0 = sentinel).
+    let mut cost = vec![0i64; n * rc];
+    for l in 0..n {
+        for &(r, w) in g.neighbors(l) {
+            cost[l * rc + r] = -w;
         }
-    };
+    }
 
     // Potentials and matching state (e-maxx formulation).
     let mut u = vec![0i64; n + 1];
     let mut v = vec![0i64; m + 1];
     let mut p = vec![0usize; m + 1]; // p[j] = row matched to column j
     let mut way = vec![0usize; m + 1];
+    let mut minv = vec![INF; m + 1];
+    let mut used = vec![false; m + 1];
 
     for i in 1..=n {
         p[0] = i;
         let mut j0 = 0usize;
-        let mut minv = vec![INF; m + 1];
-        let mut used = vec![false; m + 1];
+        minv.fill(INF);
+        used.fill(false);
         loop {
             used[j0] = true;
             let i0 = p[j0];
+            let row = &cost[(i0 - 1) * rc..i0 * rc];
             let mut delta = INF;
             let mut j1 = 0usize;
             for j in 1..=m {
                 if used[j] {
                     continue;
                 }
-                let cur = cost(i0, j) - u[i0] - v[j];
+                let c = if j <= rc { row[j - 1] } else { 0 };
+                let cur = c - u[i0] - v[j];
                 if cur < minv[j] {
                     minv[j] = cur;
                     way[j] = j0;
@@ -129,6 +134,105 @@ mod tests {
     use super::*;
     use crate::brute;
     use proptest::prelude::*;
+
+    /// The solver as it stood before the dense cost matrix: `g.weight()`
+    /// per cell and fresh `minv`/`used` per row. Kept verbatim as the
+    /// oracle that pins [`max_weight_matching`]'s pairs and tie-breaks.
+    #[allow(clippy::needless_range_loop)] // dual updates are index-coupled across u/v/p
+    fn reference_max_weight_matching(g: &WeightedBipartite) -> Matching {
+        let n = g.left_count(); // rows
+        let rc = g.right_count();
+        let m = rc + n; // real columns + one dummy column per row
+        if n == 0 {
+            return Matching {
+                pairs: Vec::new(),
+                weight: 0,
+            };
+        }
+
+        // cost(i, j): negated weight for real edges, 0 for non-edges and
+        // dummy columns. 1-indexed internally (index 0 = sentinel).
+        let cost = |i: usize, j: usize| -> i64 {
+            // i, j are 1-indexed row/column.
+            if j <= rc {
+                g.weight(i - 1, j - 1).map_or(0, |w| -w)
+            } else {
+                0
+            }
+        };
+
+        // Potentials and matching state (e-maxx formulation).
+        let mut u = vec![0i64; n + 1];
+        let mut v = vec![0i64; m + 1];
+        let mut p = vec![0usize; m + 1]; // p[j] = row matched to column j
+        let mut way = vec![0usize; m + 1];
+
+        for i in 1..=n {
+            p[0] = i;
+            let mut j0 = 0usize;
+            let mut minv = vec![INF; m + 1];
+            let mut used = vec![false; m + 1];
+            loop {
+                used[j0] = true;
+                let i0 = p[j0];
+                let mut delta = INF;
+                let mut j1 = 0usize;
+                for j in 1..=m {
+                    if used[j] {
+                        continue;
+                    }
+                    let cur = cost(i0, j) - u[i0] - v[j];
+                    if cur < minv[j] {
+                        minv[j] = cur;
+                        way[j] = j0;
+                    }
+                    if minv[j] < delta {
+                        delta = minv[j];
+                        j1 = j;
+                    }
+                }
+                debug_assert!(delta < INF, "augmentation must always succeed (dummies)");
+                for j in 0..=m {
+                    if used[j] {
+                        u[p[j]] += delta;
+                        v[j] -= delta;
+                    } else {
+                        minv[j] -= delta;
+                    }
+                }
+                j0 = j1;
+                if p[j0] == 0 {
+                    break;
+                }
+            }
+            // Unwind the augmenting path.
+            loop {
+                let j1 = way[j0];
+                p[j0] = p[j1];
+                j0 = j1;
+                if j0 == 0 {
+                    break;
+                }
+            }
+        }
+
+        // Extract: row -> column, keeping only genuine edges.
+        let mut pairs = vec![None; n];
+        let mut weight = 0i64;
+        for j in 1..=rc {
+            let i = p[j];
+            if i == 0 {
+                continue;
+            }
+            if let Some(w) = g.weight(i - 1, j - 1) {
+                pairs[i - 1] = Some(j - 1);
+                weight += w;
+            }
+        }
+        let result = Matching { pairs, weight };
+        debug_assert!(result.validate(g).is_ok());
+        result
+    }
 
     #[test]
     fn empty_instances() {
@@ -267,6 +371,35 @@ mod tests {
             prop_assert!(fast.validate(&g).is_ok());
             let slow = brute::brute_force_max_weight(&g);
             prop_assert_eq!(fast.weight, slow.weight);
+        }
+
+        /// The dense-cost solver reproduces the reference solver
+        /// exactly — the same `pairs`, not only the same weight — on
+        /// Minim-shaped `{1, 3}` instances up to 60 × 130, so every
+        /// tie-break a recode plan depends on is pinned.
+        #[test]
+        fn dense_costs_reproduce_reference_pairs(
+            l in 0usize..61,
+            r in 0usize..131,
+            density in 0.0f64..1.0,
+            keep in 0.0f64..0.3,
+            seed in 0u64..u64::MAX,
+        ) {
+            use rand::rngs::StdRng;
+            use rand::{Rng, SeedableRng};
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut g = WeightedBipartite::new(l, r);
+            for a in 0..l {
+                for b in 0..r {
+                    if rng.gen_bool(density) {
+                        g.add_edge(a, b, if rng.gen_bool(keep) { 3 } else { 1 });
+                    }
+                }
+            }
+            let fast = max_weight_matching(&g);
+            let reference = reference_max_weight_matching(&g);
+            prop_assert_eq!(&fast.pairs, &reference.pairs);
+            prop_assert_eq!(fast.weight, reference.weight);
         }
 
         /// With uniform weights, max-weight == max-cardinality (scaled).

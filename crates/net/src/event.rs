@@ -40,6 +40,45 @@ pub enum Event {
 }
 
 impl Event {
+    /// Checks the event's own numbers, independent of any network:
+    /// every coordinate must be finite, and every range finite and
+    /// non-negative. `NodeConfig`'s fields are public, so a config
+    /// built without [`NodeConfig::new`] can carry any `f64`; callers
+    /// that persist events (the serve journal) reject them here, before
+    /// anything is written. The error names the offending field.
+    ///
+    /// ```
+    /// use minim_geom::Point;
+    /// use minim_net::event::Event;
+    /// use minim_net::NodeConfig;
+    /// let ok = Event::Join { cfg: NodeConfig::new(Point::new(1.0, 2.0), 5.0) };
+    /// assert!(ok.validate().is_ok());
+    /// let nan = Event::Join { cfg: NodeConfig::new(Point::new(f64::NAN, 2.0), 5.0) };
+    /// assert!(nan.validate().is_err());
+    /// ```
+    pub fn validate(&self) -> Result<(), String> {
+        let point = |what: &str, p: Point| {
+            if p.x.is_finite() && p.y.is_finite() {
+                Ok(())
+            } else {
+                Err(format!("{what} ({}, {}) is not finite", p.x, p.y))
+            }
+        };
+        let range = |r: f64| {
+            if r.is_finite() && r >= 0.0 {
+                Ok(())
+            } else {
+                Err(format!("range {r} is not finite and non-negative"))
+            }
+        };
+        match *self {
+            Event::Join { cfg } => point("position", cfg.pos).and(range(cfg.range)),
+            Event::Leave { .. } => Ok(()),
+            Event::Move { to, .. } => point("destination", to),
+            Event::SetRange { range: r, .. } => range(r),
+        }
+    }
+
     /// Classifies a `SetRange` as increase/decrease relative to the
     /// node's current range in `net`. Joins/leaves/moves return `None`.
     pub fn power_direction(&self, net: &Network) -> Option<PowerDirection> {
@@ -211,5 +250,32 @@ mod tests {
         let left = apply_topology(&mut net, &Event::Leave { node: id });
         assert_eq!(left, AppliedEvent::Left(id));
         assert_eq!(net.node_count(), 0);
+    }
+
+    #[test]
+    fn validate_rejects_non_finite_numbers() {
+        let node = NodeId(0);
+        let good = Point::new(1.0, 2.0);
+        // `NodeConfig::new` asserts on the range, so bad ranges are
+        // built through the public fields, as a caller could.
+        let join = |pos, range| Event::Join {
+            cfg: NodeConfig { pos, range },
+        };
+        assert!(join(good, 5.0).validate().is_ok());
+        assert!(join(good, 0.0).validate().is_ok());
+        assert!(Event::Leave { node }.validate().is_ok());
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(join(Point::new(bad, 2.0), 5.0).validate().is_err());
+            assert!(join(Point::new(1.0, bad), 5.0).validate().is_err());
+            assert!(join(good, bad).validate().is_err());
+            let to = Point::new(bad, 0.0);
+            assert!(Event::Move { node, to }.validate().is_err());
+            assert!(Event::SetRange { node, range: bad }.validate().is_err());
+        }
+        assert!(join(good, -1.0).validate().is_err());
+        assert!(Event::SetRange { node, range: -0.5 }.validate().is_err());
+        let to = good;
+        assert!(Event::Move { node, to }.validate().is_ok());
+        assert!(Event::SetRange { node, range: 3.0 }.validate().is_ok());
     }
 }

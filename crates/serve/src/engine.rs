@@ -419,10 +419,16 @@ impl Engine {
         }
     }
 
-    /// Rejects events that reference absent nodes *before* they reach
-    /// the journal, so a buggy caller can't poison the log with frames
-    /// that will panic on replay.
+    /// Rejects events that carry non-finite numbers
+    /// ([`Event::validate`]) or reference absent nodes *before* they
+    /// reach the journal, so a buggy caller can't poison the log with
+    /// frames that fail to decode or panic on replay.
     fn check_event(&self, event: &Event) -> Result<(), EngineError> {
+        event
+            .validate()
+            .map_err(|detail| EngineError::InvalidEvent {
+                detail: format!("{event:?}: {detail}"),
+            })?;
         let node = match event {
             Event::Join { .. } => return Ok(()),
             Event::Leave { node } | Event::Move { node, .. } | Event::SetRange { node, .. } => {

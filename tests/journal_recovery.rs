@@ -261,6 +261,53 @@ fn corrupt_byte_is_detected_and_pinned_in_report() {
     assert_matches_oracle(StrategyKind::Minim, &events, &eng, "bit rot");
 }
 
+/// A join with a NaN coordinate is rejected before it is journaled.
+/// Were it written, the codec would encode NaN as `null`, the strict
+/// decoder would class the CRC-valid frame as corrupt on reopen, and
+/// recovery would truncate it together with every acknowledged frame
+/// after it. With `sync_every = 1` every other event is acknowledged
+/// durable, so every one of them must come back.
+#[test]
+fn nan_join_is_rejected_and_every_acknowledged_event_recovers() {
+    let join = |x: f64, y: f64| Event::Join {
+        cfg: NodeConfig::new(Point::new(x, y), 20.0),
+    };
+    let stream = [
+        join(10.0, 10.0),
+        join(25.0, 10.0),
+        join(f64::NAN, 10.0),
+        join(40.0, 12.0),
+        join(18.0, 30.0),
+    ];
+    let fs = MemFs::new();
+    let o = opts(StrategyKind::Minim, 0, 1);
+    let mut eng = Engine::open_with(Box::new(fs.clone()), o).expect("open");
+    let mut acknowledged = Vec::new();
+    for (i, e) in stream.iter().enumerate() {
+        match eng.apply(e) {
+            Ok(_) => acknowledged.push(e.clone()),
+            Err(err) => {
+                assert_eq!(i, 2, "only the NaN join may fail: {err}");
+                assert!(matches!(err, EngineError::InvalidEvent { .. }), "{err}");
+            }
+        }
+        assert!(!eng.is_quarantined());
+    }
+    eng.close().expect("close");
+
+    let eng = Engine::open_with(Box::new(fs), o).expect("reopen");
+    let r = *eng.recovery_report();
+    assert_eq!(
+        r.events_total as usize,
+        acknowledged.len(),
+        "every acknowledged event recovers"
+    );
+    assert_eq!(acknowledged.len(), 4, "the NaN join is the only rejection");
+    assert_eq!(r.corrupt_frames, 0);
+    assert_eq!(r.bytes_truncated, 0);
+    assert_matches_oracle(StrategyKind::Minim, &acknowledged, &eng, "NaN join");
+}
+
 /// Garbage appended past the last valid frame (a torn tail from the
 /// outside world) is truncated with a faithful, non-panicking report —
 /// the behavior CI pins.
