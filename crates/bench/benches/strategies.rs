@@ -6,6 +6,7 @@ use criterion::{black_box, criterion_group, criterion_main, BatchSize, Benchmark
 use minim_bench::network_with;
 use minim_core::StrategyKind;
 use minim_geom::{sample, Rect};
+use minim_net::event::Event;
 use minim_net::NodeConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -27,8 +28,7 @@ fn bench_join_event(c: &mut Criterion) {
                     b.iter_batched(
                         || (base.clone(), kind.build()),
                         |(mut net, mut s)| {
-                            let id = net.next_id();
-                            black_box(s.on_join(&mut net, id, *cfg));
+                            black_box(s.apply(&mut net, &Event::Join { cfg: *cfg }).1);
                         },
                         BatchSize::SmallInput,
                     )
@@ -59,7 +59,7 @@ fn bench_move_event(c: &mut Criterion) {
                 b.iter_batched(
                     || (base.clone(), kind.build()),
                     |(mut net, mut s)| {
-                        black_box(s.on_move(&mut net, victim, to));
+                        black_box(s.apply(&mut net, &Event::Move { node: victim, to }).1);
                     },
                     BatchSize::SmallInput,
                 )
@@ -82,7 +82,16 @@ fn bench_power_event(c: &mut Criterion) {
                 b.iter_batched(
                     || (base.clone(), kind.build()),
                     |(mut net, mut s)| {
-                        black_box(s.on_set_range(&mut net, victim, new_range));
+                        black_box(
+                            s.apply(
+                                &mut net,
+                                &Event::SetRange {
+                                    node: victim,
+                                    range: new_range,
+                                },
+                            )
+                            .1,
+                        );
                     },
                     BatchSize::SmallInput,
                 )

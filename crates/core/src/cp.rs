@@ -36,15 +36,11 @@
 //! are > 2 hops apart and cannot constrain each other), and keeps runs
 //! deterministic.
 
-use crate::{
-    commit_plan, debug_assert_locally_valid, range_direction, BatchLocality, ColorPlan,
-    EventEffect, RecodeOutcome, RecodingStrategy,
-};
-use minim_geom::Point;
+use crate::{BatchLocality, ColorPlan, RecodingStrategy};
 use minim_graph::{conflict, hops};
 use minim_graph::{Color, ColorBits, ColorView, NodeId};
 use minim_net::event::{AppliedEvent, PowerDirection};
-use minim_net::{Network, NodeConfig, TopologyDelta};
+use minim_net::{Network, TopologyDelta};
 use std::collections::{HashMap, HashSet};
 
 /// The Chlamtac–Pinter recoding baseline.
@@ -286,42 +282,6 @@ impl RecodingStrategy for Cp {
             }
         }
     }
-
-    fn on_join_delta(&mut self, net: &mut Network, id: NodeId, cfg: NodeConfig) -> EventEffect {
-        let delta = net.insert_node(id, cfg);
-        let plan = self.plan_batched(net, &AppliedEvent::Joined(id), &delta);
-        let outcome = commit_plan(net, &plan);
-        debug_assert_locally_valid(net, &delta, &outcome);
-        EventEffect { delta, outcome }
-    }
-
-    fn on_leave_delta(&mut self, net: &mut Network, id: NodeId) -> EventEffect {
-        let delta = net.remove_node(id);
-        let outcome = RecodeOutcome {
-            recoded: Vec::new(),
-            max_color_after: net.max_color_index(),
-        };
-        debug_assert_locally_valid(net, &delta, &outcome);
-        EventEffect { delta, outcome }
-    }
-
-    /// Leave + join: the mover forgets its color before rejoining.
-    fn on_move_delta(&mut self, net: &mut Network, id: NodeId, to: Point) -> EventEffect {
-        let delta = net.move_node(id, to);
-        let plan = self.plan_batched(net, &AppliedEvent::Moved(id), &delta);
-        let outcome = commit_plan(net, &plan);
-        debug_assert_locally_valid(net, &delta, &outcome);
-        EventEffect { delta, outcome }
-    }
-
-    fn on_set_range_delta(&mut self, net: &mut Network, id: NodeId, range: f64) -> EventEffect {
-        let dir = range_direction(net, id, range);
-        let delta = net.set_range(id, range);
-        let plan = self.plan_batched(net, &AppliedEvent::RangeChanged(id, dir), &delta);
-        let outcome = commit_plan(net, &plan);
-        debug_assert_locally_valid(net, &delta, &outcome);
-        EventEffect { delta, outcome }
-    }
 }
 
 #[cfg(test)]
@@ -329,7 +289,9 @@ mod tests {
     use super::*;
     use crate::{Minim, RecodingStrategy, StrategyKind};
     use minim_geom::{sample, Point, Rect};
+    use minim_net::event::Event;
     use minim_net::workload::{JoinWorkload, MovementWorkload, PowerRaiseWorkload};
+    use minim_net::NodeConfig;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -370,8 +332,8 @@ mod tests {
         net.set_color(s2, c(1));
         assert!(net.validate().is_ok(), "spokes out of range of each other");
         let mut cp = Cp::default();
-        let hub = net.next_id();
-        let out = cp.on_join(&mut net, hub, NodeConfig::new(Point::new(0.0, 0.0), 6.0));
+        let cfg = NodeConfig::new(Point::new(0.0, 0.0), 6.0);
+        let (_, out) = cp.apply(&mut net, &Event::Join { cfg });
         assert!(net.validate().is_ok());
         // CP recodes: hub (new), and both of s1/s2 reselect; s2
         // (higher id) selects before s1 and may re-pick 1... after hub
@@ -391,7 +353,8 @@ mod tests {
         net.set_color(a, c(1));
         net.set_color(b, c(5)); // b's color is deliberately high
         let mut cp = Cp::default();
-        let out = cp.on_move(&mut net, b, Point::new(4.0, 0.0));
+        let to = Point::new(4.0, 0.0);
+        let (_, out) = cp.apply(&mut net, &Event::Move { node: b, to });
         assert!(net.validate().is_ok());
         assert_eq!(out.recodings(), 1);
         assert_eq!(net.assignment().get(b), Some(c(2)), "lowest available");
@@ -404,7 +367,8 @@ mod tests {
         net2.set_color(a2, c(1));
         net2.set_color(b2, c(5));
         let mut cpw = Cp::with_whole_neighborhood();
-        let out = cpw.on_move(&mut net2, b2, Point::new(4.0, 0.0));
+        let to = Point::new(4.0, 0.0);
+        let (_, out) = cpw.apply(&mut net2, &Event::Move { node: b2, to });
         assert!(net2.validate().is_ok());
         assert_eq!(out.recodings(), 2);
         assert_eq!(net2.assignment().get(b2), Some(c(1)));
@@ -451,8 +415,9 @@ mod tests {
         assert!(net.validate().is_ok(), "the pre-join assignment is legal");
 
         let mut cp = Cp::default();
-        let joiner = net.next_id();
-        let out = cp.on_join(&mut net, joiner, NodeConfig::new(center, 7.0));
+        let cfg = NodeConfig::new(center, 7.0);
+        let (applied, out) = cp.apply(&mut net, &Event::Join { cfg });
+        let joiner = applied.node();
         assert!(net.validate().is_ok());
 
         // Selection order (descending id): joiner, v7, v6, v3, v1.
@@ -489,8 +454,8 @@ mod tests {
             net_m.set_color(id, c(col));
         }
         let mut minim = Minim::default();
-        let joiner_m = net_m.next_id();
-        let out_m = minim.on_join(&mut net_m, joiner_m, NodeConfig::new(center, 7.0));
+        let cfg = NodeConfig::new(center, 7.0);
+        let (_, out_m) = minim.apply(&mut net_m, &Event::Join { cfg });
         assert!(net_m.validate().is_ok());
         assert_eq!(out_m.recodings(), 3, "the paper reports 3 Minim recodings");
         assert_eq!(net_m.max_color_index(), 6, "same final max color as CP");
@@ -506,7 +471,8 @@ mod tests {
         net.set_color(a, c(1));
         net.set_color(b, c(5));
         let mut m = Minim::default();
-        let out = m.on_move(&mut net, b, Point::new(4.0, 0.0));
+        let to = Point::new(4.0, 0.0);
+        let (_, out) = m.apply(&mut net, &Event::Move { node: b, to });
         assert!(net.validate().is_ok());
         assert_eq!(out.recodings(), 0, "Minim keeps the old color");
         assert_eq!(net.assignment().get(b), Some(c(5)));
@@ -527,7 +493,8 @@ mod tests {
         net.set_color(b, c(1)); // legal: no edges yet
         assert!(net.validate().is_ok());
         let mut cp = Cp::default();
-        let out = cp.on_set_range(&mut net, a, 9.0); // a now reaches b
+        let range = 9.0; // a now reaches b
+        let (_, out) = cp.apply(&mut net, &Event::SetRange { node: a, range });
         assert!(net.validate().is_ok());
         assert_eq!(out.recodings(), 1);
         assert_eq!(net.assignment().get(b), Some(c(1)), "b re-picked its color");
@@ -577,7 +544,13 @@ mod tests {
         net.set_color(a, c(1));
         net.set_color(b, c(2));
         let mut cp = Cp::default();
-        let out = cp.on_set_range(&mut net, a, 9.0);
+        let (_, out) = cp.apply(
+            &mut net,
+            &Event::SetRange {
+                node: a,
+                range: 9.0,
+            },
+        );
         assert_eq!(out.recodings(), 0, "no clash → no recode");
         assert!(net.validate().is_ok());
     }
@@ -663,26 +636,26 @@ mod tests {
         for _ in 0..150 {
             let roll: f64 = rng.gen();
             if net.node_count() < 5 || roll < 0.5 {
-                let id = net.next_id();
                 let cfg = NodeConfig::new(
                     sample::uniform_point(&mut rng, &arena),
                     sample::uniform_range(&mut rng, 15.0, 30.0),
                 );
-                cp.on_join(&mut net, id, cfg);
+                cp.apply(&mut net, &Event::Join { cfg });
             } else if roll < 0.65 {
                 let ids = net.node_ids();
                 let v = ids[rng.gen_range(0..ids.len())];
-                cp.on_leave(&mut net, v);
+                cp.apply(&mut net, &Event::Leave { node: v });
             } else if roll < 0.85 {
                 let ids = net.node_ids();
                 let v = ids[rng.gen_range(0..ids.len())];
                 let to = sample::random_move(&mut rng, net.config(v).unwrap().pos, 30.0, &arena);
-                cp.on_move(&mut net, v, to);
+                cp.apply(&mut net, &Event::Move { node: v, to });
             } else {
                 let ids = net.node_ids();
                 let v = ids[rng.gen_range(0..ids.len())];
                 let r = net.config(v).unwrap().range;
-                cp.on_set_range(&mut net, v, r * rng.gen_range(0.6..1.8));
+                let range = r * rng.gen_range(0.6..1.8);
+                cp.apply(&mut net, &Event::SetRange { node: v, range });
             }
             assert!(net.validate().is_ok());
         }

@@ -21,8 +21,10 @@
 //! is non-increasing and the process reaches a fixpoint (each node's
 //! color is non-increasing and bounded below by 1).
 
+use crate::{ColorPlan, EventEffect, RecodeOutcome, RecodingStrategy};
 use minim_graph::{conflict, Color, NodeId};
-use minim_net::Network;
+use minim_net::event::{AppliedEvent, Event};
+use minim_net::{Network, TopologyDelta};
 
 /// Background color-compaction gossiper.
 #[derive(Debug, Clone, Copy, Default)]
@@ -110,84 +112,48 @@ impl MinimWithGossip {
             events_since_gossip: 0,
         }
     }
+}
 
-    /// Runs gossip when due, merging its migrations into the effect's
-    /// outcome.
-    fn maybe_gossip(
-        &mut self,
-        net: &mut minim_net::Network,
-        before: &minim_graph::Assignment,
-        effect: crate::EventEffect,
-    ) -> crate::EventEffect {
+impl RecodingStrategy for MinimWithGossip {
+    fn name(&self) -> &'static str {
+        "Minim+Gossip"
+    }
+
+    fn plan_batched(
+        &self,
+        net: &Network,
+        applied: &AppliedEvent,
+        delta: &TopologyDelta,
+    ) -> ColorPlan {
+        self.inner.plan_batched(net, applied, delta)
+    }
+
+    /// Handles the event with Minim, then runs a gossip round when one
+    /// is due, merging its migrations into the event's outcome.
+    fn apply_delta(&mut self, net: &mut Network, event: &Event) -> (AppliedEvent, EventEffect) {
+        let before = net.snapshot_assignment();
+        let (applied, effect) = self.inner.apply_delta(net, event);
         self.events_since_gossip += 1;
         if self.events_since_gossip < self.period {
-            return effect;
+            return (applied, effect);
         }
         self.events_since_gossip = 0;
         GossipCompactor.round(net);
         // Recompute the combined diff against the pre-event snapshot so
         // event recodes and gossip migrations are both counted (a node
         // recoded twice counts once — it retunes once per event batch).
-        crate::EventEffect {
+        let effect = EventEffect {
             delta: effect.delta,
-            outcome: crate::RecodeOutcome::from_diff(net, before),
-        }
-    }
-}
-
-impl crate::RecodingStrategy for MinimWithGossip {
-    fn name(&self) -> &'static str {
-        "Minim+Gossip"
-    }
-
-    fn on_join_delta(
-        &mut self,
-        net: &mut minim_net::Network,
-        id: minim_graph::NodeId,
-        cfg: minim_net::NodeConfig,
-    ) -> crate::EventEffect {
-        let before = net.snapshot_assignment();
-        let effect = self.inner.on_join_delta(net, id, cfg);
-        self.maybe_gossip(net, &before, effect)
-    }
-
-    fn on_leave_delta(
-        &mut self,
-        net: &mut minim_net::Network,
-        id: minim_graph::NodeId,
-    ) -> crate::EventEffect {
-        let before = net.snapshot_assignment();
-        let effect = self.inner.on_leave_delta(net, id);
-        self.maybe_gossip(net, &before, effect)
-    }
-
-    fn on_move_delta(
-        &mut self,
-        net: &mut minim_net::Network,
-        id: minim_graph::NodeId,
-        to: minim_geom::Point,
-    ) -> crate::EventEffect {
-        let before = net.snapshot_assignment();
-        let effect = self.inner.on_move_delta(net, id, to);
-        self.maybe_gossip(net, &before, effect)
-    }
-
-    fn on_set_range_delta(
-        &mut self,
-        net: &mut minim_net::Network,
-        id: minim_graph::NodeId,
-        range: f64,
-    ) -> crate::EventEffect {
-        let before = net.snapshot_assignment();
-        let effect = self.inner.on_set_range_delta(net, id, range);
-        self.maybe_gossip(net, &before, effect)
+            outcome: RecodeOutcome::from_diff(net, &before),
+        };
+        (applied, effect)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Minim, RecodingStrategy};
+    use crate::Minim;
     use minim_geom::Point;
     use minim_net::workload::{JoinWorkload, MovementWorkload};
     use minim_net::{Network, NodeConfig};
@@ -324,16 +290,12 @@ mod tests {
         // Three joins: gossip fires on the third (no visible effect on
         // a compact assignment, but the counter must reset).
         for i in 0..3 {
-            let id = net.next_id();
-            s.on_join(
-                &mut net,
-                id,
-                NodeConfig::new(Point::new(i as f64 * 30.0, 0.0), 5.0),
-            );
+            let cfg = NodeConfig::new(Point::new(i as f64 * 30.0, 0.0), 5.0);
+            s.apply(&mut net, &Event::Join { cfg });
         }
         assert_eq!(s.events_since_gossip, 0, "fired and reset");
-        let id = net.next_id();
-        s.on_join(&mut net, id, NodeConfig::new(Point::new(90.0, 0.0), 5.0));
+        let cfg = NodeConfig::new(Point::new(90.0, 0.0), 5.0);
+        s.apply(&mut net, &Event::Join { cfg });
         assert_eq!(s.events_since_gossip, 1);
         assert_eq!(s.name(), "Minim+Gossip");
     }

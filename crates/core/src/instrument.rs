@@ -3,10 +3,9 @@
 //! reusable by examples and by downstream users evaluating their own
 //! strategies.
 
-use crate::{EventEffect, RecodeOutcome, RecodingStrategy};
-use minim_geom::Point;
-use minim_graph::NodeId;
-use minim_net::{Network, NodeConfig};
+use crate::{ColorPlan, EventEffect, RecodeOutcome, RecodingStrategy};
+use minim_net::event::{AppliedEvent, Event};
+use minim_net::{Network, TopologyDelta};
 
 /// Counters for one event type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -113,11 +112,6 @@ impl<S: RecodingStrategy> Instrumented<S> {
     pub fn inner(&self) -> &S {
         &self.inner
     }
-
-    fn absorb(&mut self, effect: &EventEffect) {
-        self.stats.peak_color = self.stats.peak_color.max(effect.outcome.max_color_after);
-        self.stats.edge_churn += effect.delta.edge_churn();
-    }
 }
 
 impl<S: RecodingStrategy> RecodingStrategy for Instrumented<S> {
@@ -125,41 +119,38 @@ impl<S: RecodingStrategy> RecodingStrategy for Instrumented<S> {
         self.inner.name()
     }
 
-    fn on_join_delta(&mut self, net: &mut Network, id: NodeId, cfg: NodeConfig) -> EventEffect {
-        let effect = self.inner.on_join_delta(net, id, cfg);
-        self.stats.joins.record(&effect.outcome);
-        self.absorb(&effect);
-        effect
+    fn plan_batched(
+        &self,
+        net: &Network,
+        applied: &AppliedEvent,
+        delta: &TopologyDelta,
+    ) -> ColorPlan {
+        self.inner.plan_batched(net, applied, delta)
     }
 
-    fn on_leave_delta(&mut self, net: &mut Network, id: NodeId) -> EventEffect {
-        let effect = self.inner.on_leave_delta(net, id);
-        self.stats.leaves.record(&effect.outcome);
-        self.absorb(&effect);
-        effect
-    }
-
-    fn on_move_delta(&mut self, net: &mut Network, id: NodeId, to: Point) -> EventEffect {
-        let effect = self.inner.on_move_delta(net, id, to);
-        self.stats.moves.record(&effect.outcome);
-        self.absorb(&effect);
-        effect
-    }
-
-    fn on_set_range_delta(&mut self, net: &mut Network, id: NodeId, range: f64) -> EventEffect {
-        let effect = self.inner.on_set_range_delta(net, id, range);
-        self.stats.range_changes.record(&effect.outcome);
-        self.absorb(&effect);
-        effect
+    fn apply_delta(&mut self, net: &mut Network, event: &Event) -> (AppliedEvent, EventEffect) {
+        let (applied, effect) = self.inner.apply_delta(net, event);
+        let kind = match applied {
+            AppliedEvent::Joined(_) => &mut self.stats.joins,
+            AppliedEvent::Left(_) => &mut self.stats.leaves,
+            AppliedEvent::Moved(_) => &mut self.stats.moves,
+            AppliedEvent::RangeChanged(..) => &mut self.stats.range_changes,
+        };
+        kind.record(&effect.outcome);
+        self.stats.peak_color = self.stats.peak_color.max(effect.outcome.max_color_after);
+        self.stats.edge_churn += effect.delta.edge_churn();
+        (applied, effect)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Minim;
-    use minim_geom::{sample, Rect};
+    use crate::{Bbb, Cp, Minim};
+    use minim_geom::{sample, Point, Rect};
+    use minim_net::event::apply_topology;
     use minim_net::workload::{JoinWorkload, MovementWorkload};
+    use minim_net::NodeConfig;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -177,9 +168,22 @@ mod tests {
         let ids = net.node_ids();
         let victim = ids[rng.gen_range(0..ids.len())];
         let r = net.config(victim).unwrap().range;
-        s.on_set_range(&mut net, victim, r * 2.0);
-        s.on_set_range(&mut net, victim, r); // decrease back
-        s.on_leave(&mut net, ids[0]);
+        let range = r * 2.0;
+        s.apply(
+            &mut net,
+            &Event::SetRange {
+                node: victim,
+                range,
+            },
+        );
+        s.apply(
+            &mut net,
+            &Event::SetRange {
+                node: victim,
+                range: r,
+            },
+        ); // decrease back
+        s.apply(&mut net, &Event::Leave { node: ids[0] });
 
         assert_eq!(s.stats.joins.events, 20);
         assert_eq!(s.stats.moves.events, 20);
@@ -207,12 +211,8 @@ mod tests {
         let arena = Rect::paper_arena();
         let mut rng = StdRng::seed_from_u64(2);
         for _ in 0..5 {
-            let id = net.next_id();
-            s.on_join(
-                &mut net,
-                id,
-                NodeConfig::new(sample::uniform_point(&mut rng, &arena), 20.0),
-            );
+            let cfg = NodeConfig::new(sample::uniform_point(&mut rng, &arena), 20.0);
+            s.apply(&mut net, &Event::Join { cfg });
         }
         assert!(s.stats.joins.mean_recodings() >= 1.0);
         let text = s.stats.to_string();
@@ -226,14 +226,75 @@ mod tests {
         let mut s = Instrumented::new(Minim::default());
         let mut net = Network::new(10.0);
         // A join with duplicate-colored in-neighbors recodes > 1 node.
-        use minim_geom::Point;
         use minim_graph::Color;
         let a = net.join(NodeConfig::new(Point::new(44.0, 50.0), 7.0));
         let b = net.join(NodeConfig::new(Point::new(56.0, 50.0), 7.0));
         net.set_color(a, Color::new(1));
         net.set_color(b, Color::new(1));
-        let id = net.next_id();
-        s.on_join(&mut net, id, NodeConfig::new(Point::new(50.0, 50.0), 7.0));
+        let cfg = NodeConfig::new(Point::new(50.0, 50.0), 7.0);
+        s.apply(&mut net, &Event::Join { cfg });
         assert_eq!(s.stats.joins.worst_event, 2, "one duplicate + the joiner");
+    }
+
+    /// A join/leave/move/range stream that stays valid in order (targets
+    /// are drawn from a topology-only ghost).
+    fn mixed_stream(seed: u64, n: usize) -> Vec<Event> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let arena = Rect::paper_arena();
+        let mut ghost = Network::new(25.0);
+        let mut events = Vec::with_capacity(n);
+        for _ in 0..n {
+            let ids = ghost.node_ids();
+            let roll: f64 = rng.gen();
+            let e = if ids.len() < 5 || roll < 0.4 {
+                let cfg = NodeConfig::new(
+                    sample::uniform_point(&mut rng, &arena),
+                    sample::uniform_range(&mut rng, 15.0, 30.0),
+                );
+                Event::Join { cfg }
+            } else {
+                let node = ids[rng.gen_range(0..ids.len())];
+                if roll < 0.55 {
+                    Event::Leave { node }
+                } else if roll < 0.8 {
+                    let to = sample::uniform_point(&mut rng, &arena);
+                    Event::Move { node, to }
+                } else {
+                    let range = sample::uniform_range(&mut rng, 10.0, 40.0);
+                    Event::SetRange { node, range }
+                }
+            };
+            apply_topology(&mut ghost, &e);
+            events.push(e);
+        }
+        events
+    }
+
+    /// Wrapping a strategy changes nothing it does: per-event outcomes
+    /// and the final state match the bare strategy, and the stats sum
+    /// the outcomes.
+    fn assert_transparent<S: RecodingStrategy + Clone>(bare: S) {
+        let events = mixed_stream(17, 120);
+        let mut plain = bare.clone();
+        let mut wrapped = Instrumented::new(bare);
+        let mut net_plain = Network::new(25.0);
+        let mut net_wrapped = Network::new(25.0);
+        let mut total = 0;
+        for e in &events {
+            let want = plain.apply(&mut net_plain, e);
+            let got = wrapped.apply(&mut net_wrapped, e);
+            assert_eq!(got, want, "{} on {e:?}", plain.name());
+            total += got.1.recodings();
+        }
+        assert_eq!(net_wrapped.state_digest(), net_plain.state_digest());
+        assert_eq!(wrapped.stats.total_recodings(), total);
+        assert_eq!(wrapped.stats.total_events(), events.len());
+    }
+
+    #[test]
+    fn wrapper_is_transparent_for_every_strategy() {
+        assert_transparent(Minim::default());
+        assert_transparent(Cp::default());
+        assert_transparent(Bbb::default());
     }
 }

@@ -36,10 +36,9 @@ pub use gossip::MinimWithGossip;
 pub use instrument::{Instrumented, StrategyStats};
 pub use minim::{gather_recode_inputs, plan_recode, Minim, KEEP_WEIGHT};
 
-use minim_geom::Point;
 use minim_graph::{conflict, Color, NodeId};
-use minim_net::event::{AppliedEvent, Event, PowerDirection};
-use minim_net::{Network, NodeConfig, TopologyDelta};
+use minim_net::event::{apply_topology_delta, AppliedEvent, Event};
+use minim_net::{Network, TopologyDelta};
 
 /// What a strategy did in response to one event.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -128,123 +127,81 @@ pub fn commit_plan(net: &mut Network, plan: &ColorPlan) -> RecodeOutcome {
 
 /// A recoding strategy: one algorithm per event type.
 ///
-/// Each handler applies the topology change itself (so it can observe
-/// the network both before and after) and then restores CA1/CA2. Every
-/// implementation guarantees validity on return, provided it held
-/// before the event.
-///
-/// The `*_delta` handlers are the required implementations: they
-/// receive the [`TopologyDelta`] from the mutating `Network` call and
-/// recode *from the delta* — partitions, recode sets, and new
-/// constraints all come out of it, so per-event work is
-/// `O(affected neighborhood)`, matching the paper's locality claim.
-/// The delta-less `on_*` methods are provided conveniences for
-/// callers that only need the [`RecodeOutcome`].
+/// The paper's strategies decide a recoloring *on the topology after
+/// the event* (Figs 3, 5 and 8, §4.3), so the trait's core is one
+/// pure planning method: [`RecodingStrategy::plan_batched`] reads the
+/// applied topology and the event's [`TopologyDelta`] and returns the
+/// color writes. [`step`] composes topology → plan → commit; every
+/// executor (sequential, resident waves and border pass, the serve
+/// engine) runs events through it. Every implementation guarantees
+/// validity after the commit, provided it held before the event.
 pub trait RecodingStrategy {
     /// Human-readable name for tables and plots.
     fn name(&self) -> &'static str;
 
-    /// Node `id` (fresh, from [`Network::next_id`]) joins with `cfg`.
-    fn on_join_delta(&mut self, net: &mut Network, id: NodeId, cfg: NodeConfig) -> EventEffect;
-
-    /// Node `id` leaves the network.
-    fn on_leave_delta(&mut self, net: &mut Network, id: NodeId) -> EventEffect;
-
-    /// Node `id` moves to `to`.
-    fn on_move_delta(&mut self, net: &mut Network, id: NodeId, to: Point) -> EventEffect;
-
-    /// Node `id` changes its transmission range to `range` (the
-    /// strategy decides how to treat increases vs decreases).
-    fn on_set_range_delta(&mut self, net: &mut Network, id: NodeId, range: f64) -> EventEffect;
-
-    /// Convenience: join, discarding the delta.
-    fn on_join(&mut self, net: &mut Network, id: NodeId, cfg: NodeConfig) -> RecodeOutcome {
-        self.on_join_delta(net, id, cfg).outcome
-    }
-
-    /// Convenience: leave, discarding the delta.
-    fn on_leave(&mut self, net: &mut Network, id: NodeId) -> RecodeOutcome {
-        self.on_leave_delta(net, id).outcome
-    }
-
-    /// Convenience: move, discarding the delta.
-    fn on_move(&mut self, net: &mut Network, id: NodeId, to: Point) -> RecodeOutcome {
-        self.on_move_delta(net, id, to).outcome
-    }
-
-    /// Convenience: range change, discarding the delta.
-    fn on_set_range(&mut self, net: &mut Network, id: NodeId, range: f64) -> RecodeOutcome {
-        self.on_set_range_delta(net, id, range).outcome
-    }
-
     /// How far this strategy's event handling reaches. Strategies
     /// whose reads and writes stay within the event's neighborhood
-    /// return [`BatchLocality::Neighborhood`] and implement
-    /// [`RecodingStrategy::plan_batched`]; the conservative default
-    /// ([`BatchLocality::Global`]) makes the resident executor fall
-    /// back to the sequential path.
+    /// return [`BatchLocality::Neighborhood`]; the conservative
+    /// default ([`BatchLocality::Global`]) makes the resident executor
+    /// fall back to the sequential path.
     fn batch_locality(&self) -> BatchLocality {
         BatchLocality::Global
     }
 
     /// Plans the color writes for an event whose **topology has
     /// already been applied** to `net` (yielding `delta`), without
-    /// mutating anything — the parallel-safe phase of the resident
-    /// executor's waves.
+    /// mutating anything. Partitions, recode sets, and new constraints
+    /// all come out of the delta, so for local strategies per-event
+    /// work is `O(affected neighborhood)`, the paper's locality claim.
     ///
-    /// Contract (for [`BatchLocality::Neighborhood`] strategies): the
-    /// plan must depend only on state within the event's neighborhood,
-    /// and committing it via [`commit_plan`] must leave the network in
-    /// exactly the state the sequential `on_*_delta` handler would
-    /// have produced. Minim and CP implement their sequential handlers
-    /// *through* this method, so the equivalence holds by
-    /// construction.
-    ///
-    /// # Panics
-    /// The default implementation panics: global strategies have no
-    /// batch plan, and the executor must not call this after checking
-    /// [`RecodingStrategy::batch_locality`].
+    /// Contract for [`BatchLocality::Neighborhood`] strategies: the
+    /// plan depends only on state within the event's neighborhood, so
+    /// the resident executor may plan spatially disjoint events
+    /// concurrently on shard replicas and get the sequential result.
     fn plan_batched(
         &self,
-        _net: &Network,
-        _applied: &AppliedEvent,
-        _delta: &TopologyDelta,
-    ) -> ColorPlan {
-        unreachable!("plan_batched requires batch_locality() == Neighborhood")
-    }
+        net: &Network,
+        applied: &AppliedEvent,
+        delta: &TopologyDelta,
+    ) -> ColorPlan;
 
     /// Applies an [`Event`], returning both the topology delta and the
-    /// recoding — the simulation runner's entry point.
+    /// recoding: [`step`] plus a debug-build local validity check.
+    /// Stateful wrappers override this to observe each event.
     fn apply_delta(&mut self, net: &mut Network, event: &Event) -> (AppliedEvent, EventEffect) {
-        match event {
-            Event::Join { cfg } => {
-                let id = net.next_id();
-                let effect = self.on_join_delta(net, id, *cfg);
-                (AppliedEvent::Joined(id), effect)
-            }
-            Event::Leave { node } => {
-                let effect = self.on_leave_delta(net, *node);
-                (AppliedEvent::Left(*node), effect)
-            }
-            Event::Move { node, to } => {
-                let effect = self.on_move_delta(net, *node, *to);
-                (AppliedEvent::Moved(*node), effect)
-            }
-            Event::SetRange { node, range } => {
-                let dir = event
-                    .power_direction(net)
-                    .expect("SetRange target must exist");
-                let effect = self.on_set_range_delta(net, *node, *range);
-                (AppliedEvent::RangeChanged(*node, dir), effect)
-            }
-        }
+        let (applied, effect) = step(self, net, event, None);
+        debug_assert_locally_valid(net, &effect.delta, &effect.outcome);
+        (applied, effect)
     }
 
-    /// Applies an [`Event`], dispatching to the appropriate handler.
+    /// [`RecodingStrategy::apply_delta`], discarding the delta.
     fn apply(&mut self, net: &mut Network, event: &Event) -> (AppliedEvent, RecodeOutcome) {
         let (applied, effect) = self.apply_delta(net, event);
         (applied, effect.outcome)
     }
+}
+
+/// Runs one event through `strategy`: applies the topology
+/// ([`apply_topology_delta`], pinning a join's id to `join_id` when
+/// given), plans the recoding with
+/// [`RecodingStrategy::plan_batched`], and commits the plan.
+///
+/// The resident executor pins join ids so out-of-order wave
+/// application allocates the ids sequential execution would.
+///
+/// # Panics
+/// Panics if the event targets an absent node, or if a pinned
+/// `join_id` is already present.
+pub fn step<S: RecodingStrategy + ?Sized>(
+    strategy: &S,
+    net: &mut Network,
+    event: &Event,
+    join_id: Option<NodeId>,
+) -> (AppliedEvent, EventEffect) {
+    let (applied, delta) = apply_topology_delta(net, event, join_id);
+    let plan = strategy.plan_batched(net, &applied, &delta);
+    let outcome = commit_plan(net, &plan);
+    (applied, EventEffect { delta, outcome })
 }
 
 /// The seed set [`conflict::validate_delta`] needs for one event: the
@@ -316,26 +273,11 @@ impl StrategyKind {
     }
 }
 
-/// Shared helper: the direction of a range change, evaluated against
-/// the current network state (before application).
-pub(crate) fn range_direction(net: &Network, id: NodeId, new_range: f64) -> PowerDirection {
-    let current = net
-        .config(id)
-        .expect("range_direction: node must exist")
-        .range;
-    if new_range > current {
-        PowerDirection::Increase
-    } else if new_range < current {
-        PowerDirection::Decrease
-    } else {
-        PowerDirection::Unchanged
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use minim_geom::Point;
+    use minim_net::NodeConfig;
 
     #[test]
     fn strategy_kind_roundtrip() {
@@ -363,13 +305,8 @@ mod tests {
             };
             assert!(net.validate().is_ok(), "{} after joins", s.name());
 
-            s.apply(
-                &mut net,
-                &Event::Move {
-                    node: b,
-                    to: Point::new(2.0, 0.0),
-                },
-            );
+            let to = Point::new(2.0, 0.0);
+            s.apply(&mut net, &Event::Move { node: b, to });
             assert!(net.validate().is_ok(), "{} after move", s.name());
 
             s.apply(

@@ -20,16 +20,12 @@
 //! Theorem 4.4.1 (move ≡ leave + join) holds for this implementation by
 //! construction and is tested below.
 
-use crate::{
-    commit_plan, debug_assert_locally_valid, range_direction, BatchLocality, ColorPlan,
-    EventEffect, RecodeOutcome, RecodingStrategy,
-};
-use minim_geom::Point;
+use crate::{BatchLocality, ColorPlan, RecodingStrategy};
 use minim_graph::conflict;
 use minim_graph::{Assignment, Color, ColorBits, DiGraph, NodeId};
 use minim_matching::{max_weight_matching, WeightedBipartite};
 use minim_net::event::{AppliedEvent, PowerDirection};
-use minim_net::{Network, NodeConfig, TopologyDelta};
+use minim_net::{Network, TopologyDelta};
 
 /// Weight of a "keep your old color" edge in the matching instance.
 /// The paper fixes 3: the smallest integer that survives the swap
@@ -61,26 +57,14 @@ impl Minim {
         Minim { keep_weight }
     }
 
-    /// The common engine of `RecodeOnJoin` and `RecodeOnMove`: recode
-    /// `1n ∪ 2n ∪ {n}` via maximum-weight matching. Called with the
-    /// event's [`TopologyDelta`]; the recode set comes straight out of
-    /// the delta's neighbor lists — no graph traversal re-derives it.
-    /// `n` may or may not hold an old color.
-    ///
-    /// Thin wrapper: [`Minim::plan_matching`] decides, [`commit_plan`]
-    /// applies — the same decomposition the resident executor's waves
-    /// use, so sequential and sharded runs agree by construction.
-    fn matching_recode(&self, net: &mut Network, delta: &TopologyDelta) -> RecodeOutcome {
-        let plan = self.plan_matching(net, delta);
-        let outcome = commit_plan(net, &plan);
-        debug_assert_locally_valid(net, delta, &outcome);
-        outcome
-    }
-
-    /// Plans the join/move recoding **without mutating the network**.
-    /// All reads stay within two graph hops of the recode set (the
-    /// members' external constraints), i.e. within the event's
-    /// neighborhood — the `BatchLocality::Neighborhood` contract.
+    /// The common engine of `RecodeOnJoin` and `RecodeOnMove`: plans
+    /// the recoding of `1n ∪ 2n ∪ {n}` via maximum-weight matching,
+    /// **without mutating the network**. The recode set comes straight
+    /// out of the delta's neighbor lists; `n` may or may not hold an
+    /// old color. All reads stay within two graph hops of the recode
+    /// set (the members' external constraints), i.e. within the
+    /// event's neighborhood — the `BatchLocality::Neighborhood`
+    /// contract.
     fn plan_matching(&self, net: &Network, delta: &TopologyDelta) -> ColorPlan {
         let n = delta.node();
         let assignment = net.assignment();
@@ -371,62 +355,29 @@ impl RecodingStrategy for Minim {
         delta: &TopologyDelta,
     ) -> ColorPlan {
         match *applied {
+            // `RecodeOnJoin` (Fig 3) and `RecodeOnMove` (Fig 8): the
+            // same matching, except a mover still holds an old color
+            // (its keep-edge weighs `keep_weight` like everyone
+            // else's).
             AppliedEvent::Joined(_) | AppliedEvent::Moved(_) => self.plan_matching(net, delta),
-            // `RecodeDecreasePowOrLeave`: passive (§4.3).
+            // `RecodeDecreasePowOrLeave`: a leave removes constraints
+            // only, so the old assignment stays valid (§4.3).
             AppliedEvent::Left(_) => Vec::new(),
+            // `RecodeOnPowIncrease` (Fig 5); passive for decreases.
             AppliedEvent::RangeChanged(id, dir) => self.plan_range(net, id, dir, delta),
         }
-    }
-
-    /// `RecodeOnJoin` (Fig 3 of the paper).
-    fn on_join_delta(&mut self, net: &mut Network, id: NodeId, cfg: NodeConfig) -> EventEffect {
-        let delta = net.insert_node(id, cfg);
-        let outcome = self.matching_recode(net, &delta);
-        EventEffect { delta, outcome }
-    }
-
-    /// `RecodeDecreasePowOrLeave`: passive — a leave removes
-    /// constraints only, so the old assignment stays valid (§4.3) and
-    /// nothing is ever recoded.
-    fn on_leave_delta(&mut self, net: &mut Network, id: NodeId) -> EventEffect {
-        let delta = net.remove_node(id);
-        let outcome = RecodeOutcome {
-            recoded: Vec::new(),
-            max_color_after: net.max_color_index(),
-        };
-        debug_assert_locally_valid(net, &delta, &outcome);
-        EventEffect { delta, outcome }
-    }
-
-    /// `RecodeOnMove` (Fig 8): identical machinery to the join, except
-    /// the mover still holds an old color (its keep-edge weighs
-    /// `keep_weight` like everyone else's).
-    fn on_move_delta(&mut self, net: &mut Network, id: NodeId, to: Point) -> EventEffect {
-        let delta = net.move_node(id, to);
-        let outcome = self.matching_recode(net, &delta);
-        EventEffect { delta, outcome }
-    }
-
-    /// `RecodeOnPowIncrease` (Fig 5) for increases; passive for
-    /// decreases (§4.3).
-    fn on_set_range_delta(&mut self, net: &mut Network, id: NodeId, range: f64) -> EventEffect {
-        let dir = range_direction(net, id, range);
-        let delta = net.set_range(id, range);
-        let plan = self.plan_range(net, id, dir, &delta);
-        let outcome = commit_plan(net, &plan);
-        debug_assert_locally_valid(net, &delta, &outcome);
-        EventEffect { delta, outcome }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bounds;
+    use crate::{bounds, commit_plan, RecodeOutcome};
     use minim_geom::{sample, Point, Rect};
     use minim_graph::NodeId;
+    use minim_net::event::Event;
     use minim_net::workload::JoinWorkload;
-    use minim_net::{network_from_configs, Network};
+    use minim_net::{network_from_configs, Network, NodeConfig};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -436,6 +387,18 @@ mod tests {
 
     fn c(i: u32) -> Color {
         Color::new(i)
+    }
+
+    /// Plans and commits the recoding for an event whose topology is
+    /// already applied to `net` (yielding `delta`).
+    fn recode(
+        m: &Minim,
+        net: &mut Network,
+        applied: AppliedEvent,
+        delta: &TopologyDelta,
+    ) -> RecodeOutcome {
+        let plan = m.plan_batched(net, &applied, delta);
+        commit_plan(net, &plan)
     }
 
     /// Builds a random network with Minim handling every join, so the
@@ -455,8 +418,9 @@ mod tests {
     fn first_join_gets_color_one() {
         let mut net = Network::new(10.0);
         let mut m = Minim::default();
-        let id = net.next_id();
-        let out = m.on_join(&mut net, id, NodeConfig::new(Point::new(0.0, 0.0), 5.0));
+        let cfg = NodeConfig::new(Point::new(0.0, 0.0), 5.0);
+        let (applied, out) = m.apply(&mut net, &Event::Join { cfg });
+        let id = applied.node();
         assert_eq!(out.recoded, vec![(id, None, c(1))]);
         assert_eq!(net.assignment().get(id), Some(c(1)));
     }
@@ -467,8 +431,8 @@ mod tests {
         let mut net = Network::new(10.0);
         let mut m = Minim::default();
         for (i, x) in [0.0, 6.0, 12.0].iter().enumerate() {
-            let id = net.next_id();
-            m.on_join(&mut net, id, NodeConfig::new(Point::new(*x, 0.0), 7.0));
+            let cfg = NodeConfig::new(Point::new(*x, 0.0), 7.0);
+            m.apply(&mut net, &Event::Join { cfg });
             let _ = i;
         }
         // 0 and 2 conflict via common receiver 1 (both reach it), so we
@@ -492,7 +456,7 @@ mod tests {
             let delta = net.insert_node(id, cfg);
             let bound = bounds::minimal_bound_join(&net, id);
             // Re-run the recode on the already-inserted topology.
-            let out = m.matching_recode(&mut net, &delta);
+            let out = recode(&m, &mut net, AppliedEvent::Joined(id), &delta);
             assert_eq!(
                 out.recodings(),
                 bound,
@@ -517,7 +481,7 @@ mod tests {
             );
             let delta = net.move_node(victim, to);
             let bound = bounds::minimal_bound_move(&net, victim);
-            let out = m.matching_recode(&mut net, &delta);
+            let out = recode(&m, &mut net, AppliedEvent::Moved(victim), &delta);
             assert_eq!(
                 out.recodings(),
                 bound,
@@ -536,7 +500,14 @@ mod tests {
             let victim = ids[rng.gen_range(0..ids.len())];
             let old_range = net.config(victim).unwrap().range;
             let before = net.snapshot_assignment();
-            let out = m.on_set_range(&mut net, victim, old_range * 3.0);
+            let range = old_range * 3.0;
+            let (_, out) = m.apply(
+                &mut net,
+                &Event::SetRange {
+                    node: victim,
+                    range,
+                },
+            );
             assert!(out.recodings() <= 1, "seed {seed}");
             for &(node, _, _) in &out.recoded {
                 assert_eq!(node, victim, "only the initiator may be recoded");
@@ -558,11 +529,12 @@ mod tests {
         let ids = net.node_ids();
         let a = ids[rng.gen_range(0..ids.len())];
         let old_range = net.config(a).unwrap().range;
-        let out = m.on_set_range(&mut net, a, old_range * 0.5);
+        let range = old_range * 0.5;
+        let (_, out) = m.apply(&mut net, &Event::SetRange { node: a, range });
         assert_eq!(out.recodings(), 0, "power decrease is free");
         assert!(net.validate().is_ok());
         let b = ids[0];
-        let out = m.on_leave(&mut net, b);
+        let (_, out) = m.apply(&mut net, &Event::Leave { node: b });
         assert_eq!(out.recodings(), 0, "leave is free");
         assert!(net.validate().is_ok());
     }
@@ -573,7 +545,7 @@ mod tests {
         let mut m = Minim::default();
         let a = net.node_ids()[0];
         let r = net.config(a).unwrap().range;
-        let out = m.on_set_range(&mut net, a, r);
+        let (_, out) = m.apply(&mut net, &Event::SetRange { node: a, range: r });
         assert_eq!(out.recodings(), 0);
     }
 
@@ -599,18 +571,18 @@ mod tests {
             // Path A: RecodeOnMove.
             let mut net_a = net0.clone();
             let mut m = Minim::default();
-            m.on_move(&mut net_a, victim, to);
+            m.apply(&mut net_a, &Event::Move { node: victim, to });
             assert!(net_a.validate().is_ok());
 
             // Path B: leave, then immediately rejoin at the same id
             // with the old color remembered.
             let mut net_b = net0.clone();
-            m.on_leave(&mut net_b, victim);
+            m.apply(&mut net_b, &Event::Leave { node: victim });
             let delta = net_b.insert_node(victim, NodeConfig::new(to, cfg.range));
             if let Some(c) = old_color {
                 net_b.assignment_mut().set(victim, c);
             }
-            m.matching_recode(&mut net_b, &delta);
+            recode(&m, &mut net_b, AppliedEvent::Joined(victim), &delta);
             assert!(net_b.validate().is_ok());
 
             assert_eq!(
@@ -634,13 +606,12 @@ mod tests {
                     sample::uniform_point(&mut rng, &arena),
                     sample::uniform_range(&mut rng, 15.0, 30.0),
                 );
-                let id = net.next_id();
-                m.on_join(&mut net, id, cfg);
+                m.apply(&mut net, &Event::Join { cfg });
             } else {
                 let ids = net.node_ids();
                 let victim = ids[rng.gen_range(0..ids.len())];
                 if roll < 0.55 {
-                    m.on_leave(&mut net, victim);
+                    m.apply(&mut net, &Event::Leave { node: victim });
                 } else if roll < 0.75 {
                     let to = sample::random_move(
                         &mut rng,
@@ -648,11 +619,18 @@ mod tests {
                         30.0,
                         &arena,
                     );
-                    m.on_move(&mut net, victim, to);
+                    m.apply(&mut net, &Event::Move { node: victim, to });
                 } else {
                     let r = net.config(victim).unwrap().range;
                     let factor = rng.gen_range(0.5..2.0);
-                    m.on_set_range(&mut net, victim, r * factor);
+                    let range = r * factor;
+                    m.apply(
+                        &mut net,
+                        &Event::SetRange {
+                            node: victim,
+                            range,
+                        },
+                    );
                 }
             }
             assert!(
@@ -679,13 +657,14 @@ mod tests {
             );
             let mut net_w = net0.clone();
             let mut weighted = Minim::default();
-            let id = net_w.next_id();
-            total_w += weighted.on_join(&mut net_w, id, cfg).recodings();
+            total_w += weighted
+                .apply(&mut net_w, &Event::Join { cfg })
+                .1
+                .recodings();
 
             let mut net_b = net0.clone();
             let mut blind = Minim::with_keep_weight(1);
-            let id = net_b.next_id();
-            total_b += blind.on_join(&mut net_b, id, cfg).recodings();
+            total_b += blind.apply(&mut net_b, &Event::Join { cfg }).1.recodings();
             assert!(net_b.validate().is_ok());
         }
         assert!(
@@ -936,8 +915,9 @@ mod tests {
         let mut m = Minim::default();
         // A joiner out of everyone's range: gets color 1 (no
         // constraints), network stays valid.
-        let id = net.next_id();
-        let out = m.on_join(&mut net, id, NodeConfig::new(Point::new(50.0, 50.0), 3.0));
+        let cfg = NodeConfig::new(Point::new(50.0, 50.0), 3.0);
+        let (applied, out) = m.apply(&mut net, &Event::Join { cfg });
+        let id = applied.node();
         assert_eq!(out.recoded, vec![(id, None, c(1))]);
         assert!(net.validate().is_ok());
     }

@@ -135,10 +135,10 @@ impl AppliedEvent {
 }
 
 /// Applies `event` to the network topology **only** (no recoding).
-/// Returns what happened. Recoding strategies in `minim-core` wrap this
-/// with their color logic; they typically need state *before* the
-/// application too, so they call the underlying `Network` methods
-/// directly — this helper exists for replay/debug tooling.
+/// Returns what happened. `minim_core::step` runs
+/// [`apply_topology_delta`] and then plans the recoding on the applied
+/// topology; this delta-less form serves ghost networks, replay and
+/// debug tooling.
 pub fn apply_topology(net: &mut Network, event: &Event) -> AppliedEvent {
     apply_topology_delta(net, event, None).0
 }

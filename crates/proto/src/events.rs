@@ -192,6 +192,7 @@ mod tests {
     use super::*;
     use minim_core::{Minim, RecodingStrategy};
     use minim_geom::{sample, Rect};
+    use minim_net::event::Event;
     use minim_net::workload::JoinWorkload;
     use minim_net::NodeConfig;
     use rand::rngs::StdRng;
@@ -227,7 +228,7 @@ mod tests {
 
             let mut net_c = net0.clone();
             let mut m = Minim::default();
-            let out_c = m.on_move(&mut net_c, victim, to);
+            let out_c = m.apply(&mut net_c, &Event::Move { node: victim, to }).1;
             assert_eq!(
                 net_d.snapshot_assignment(),
                 net_c.snapshot_assignment(),
@@ -253,7 +254,15 @@ mod tests {
 
             let mut net_c = net0.clone();
             let mut m = Minim::default();
-            let out_c = m.on_set_range(&mut net_c, victim, new_range);
+            let out_c = m
+                .apply(
+                    &mut net_c,
+                    &Event::SetRange {
+                        node: victim,
+                        range: new_range,
+                    },
+                )
+                .1;
             assert_eq!(
                 net_d.snapshot_assignment(),
                 net_c.snapshot_assignment(),
@@ -308,14 +317,13 @@ mod tests {
                 );
                 let id_d = net_d.next_id();
                 crate::join::distributed_minim_join(&mut net_d, id_d, cfg);
-                let id_c = net_c.next_id();
-                m.on_join(&mut net_c, id_c, cfg);
+                m.apply(&mut net_c, &Event::Join { cfg });
             } else {
                 let ids = net_d.node_ids();
                 let victim = ids[rng.gen_range(0..ids.len())];
                 if roll < 0.55 {
                     distributed_minim_leave(&mut net_d, victim);
-                    m.on_leave(&mut net_c, victim);
+                    m.apply(&mut net_c, &Event::Leave { node: victim });
                 } else if roll < 0.8 {
                     let to = sample::random_move(
                         &mut rng,
@@ -324,11 +332,17 @@ mod tests {
                         &arena,
                     );
                     distributed_minim_move(&mut net_d, victim, to);
-                    m.on_move(&mut net_c, victim, to);
+                    m.apply(&mut net_c, &Event::Move { node: victim, to });
                 } else {
                     let r = net_d.config(victim).unwrap().range * rng.gen_range(0.6..2.0);
                     distributed_minim_set_range(&mut net_d, victim, r);
-                    m.on_set_range(&mut net_c, victim, r);
+                    m.apply(
+                        &mut net_c,
+                        &Event::SetRange {
+                            node: victim,
+                            range: r,
+                        },
+                    );
                 }
             }
             assert_eq!(

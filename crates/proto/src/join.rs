@@ -43,8 +43,8 @@ use std::collections::{HashMap, HashSet};
 type Report = (Option<Color>, Vec<(NodeId, Color)>, Vec<(NodeId, Color)>);
 
 /// Runs the distributed Minim join of `id` with configuration `cfg`.
-/// Produces the identical assignment to `Minim::on_join` (asserted in
-/// tests) plus the message/round bill.
+/// Produces the identical assignment to a centralized `Minim` join
+/// (asserted in tests) plus the message/round bill.
 pub fn distributed_minim_join(
     net: &mut Network,
     id: NodeId,
@@ -198,8 +198,8 @@ pub(crate) fn minim_gather_match_recolor(
 }
 
 /// Runs the distributed CP join of `id`. Produces the identical
-/// assignment to `Cp::on_join` (descending-identity waves are the
-/// unique linearization of the vicinity rule — see module docs) plus
+/// assignment to a centralized `Cp` join (descending-identity waves are
+/// the unique linearization of the vicinity rule — see module docs) plus
 /// the message/round bill.
 pub fn distributed_cp_join(
     net: &mut Network,
@@ -354,8 +354,8 @@ mod tests {
 
                 let mut net_c = net0.clone();
                 let mut m = Minim::default();
-                let id_c = net_c.next_id();
-                let out_c = m.on_join(&mut net_c, id_c, *cfg);
+                let (applied, out_c) = m.apply(&mut net_c, &Event::Join { cfg: *cfg });
+                let id_c = applied.node();
                 assert_eq!(id, id_c);
                 assert_eq!(
                     net_d.snapshot_assignment(),
@@ -385,9 +385,9 @@ mod tests {
                 let mut net_c = net_cp_base.clone();
                 let mut cp = Cp::default();
                 let out_c = {
-                    let id_c = net_c.next_id();
-                    assert_eq!(id, id_c);
-                    cp.on_join(&mut net_c, id_c, *cfg)
+                    let (applied, out_c) = cp.apply(&mut net_c, &Event::Join { cfg: *cfg });
+                    assert_eq!(id, applied.node());
+                    out_c
                 };
                 assert_eq!(
                     net_d.snapshot_assignment(),
@@ -448,8 +448,8 @@ mod tests {
         for k in 0..8 {
             let angle = k as f64 * std::f64::consts::TAU / 8.0;
             let p = Point::new(50.0 + 5.0 * angle.cos(), 50.0 + 5.0 * angle.sin());
-            let id = net2.next_id();
-            m.on_join(&mut net2, id, NodeConfig::new(p, 7.0));
+            let cfg = NodeConfig::new(p, 7.0);
+            m.apply(&mut net2, &Event::Join { cfg });
         }
         let id = net2.next_id();
         let (_, metrics) =

@@ -119,9 +119,10 @@ pub fn parallel_minim_joins_unchecked(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use minim_core::{Minim, RecodingStrategy};
+    use minim_core::{step, Minim, RecodingStrategy};
     use minim_geom::Point;
     use minim_graph::Color;
+    use minim_net::event::Event;
 
     /// A long chain of bidirectional links spaced `gap` apart along x,
     /// colored by Minim joins.
@@ -129,12 +130,8 @@ mod tests {
         let mut net = Network::new(range.max(1.0));
         let mut m = Minim::default();
         for i in 0..nodes {
-            let id = net.next_id();
-            m.on_join(
-                &mut net,
-                id,
-                NodeConfig::new(Point::new(i as f64 * gap, 0.0), range),
-            );
+            let cfg = NodeConfig::new(Point::new(i as f64 * gap, 0.0), range);
+            m.apply(&mut net, &Event::Join { cfg });
         }
         assert!(net.validate().is_ok());
         net
@@ -156,13 +153,15 @@ mod tests {
         assert!(net_par.validate().is_ok());
 
         // Sequential in both orders must give the same assignment.
-        let mut m = Minim::default();
+        let m = Minim::default();
+        let join_a = Event::Join { cfg: cfg_a };
+        let join_b = Event::Join { cfg: cfg_b };
         let mut net_ab = net0.clone();
-        m.on_join(&mut net_ab, id_a, cfg_a);
-        m.on_join(&mut net_ab, id_b, cfg_b);
+        step(&m, &mut net_ab, &join_a, Some(id_a));
+        step(&m, &mut net_ab, &join_b, Some(id_b));
         let mut net_ba = net0.clone();
-        m.on_join(&mut net_ba, id_b, cfg_b);
-        m.on_join(&mut net_ba, id_a, cfg_a);
+        step(&m, &mut net_ba, &join_b, Some(id_b));
+        step(&m, &mut net_ba, &join_a, Some(id_a));
 
         assert_eq!(net_par.snapshot_assignment(), net_ab.snapshot_assignment());
         assert_eq!(net_par.snapshot_assignment(), net_ba.snapshot_assignment());

@@ -351,12 +351,8 @@ mod tests {
         let mut net = Network::new(10.0);
         let mut m = Minim::default();
         for i in 0..n {
-            let id = net.next_id();
-            m.on_join(
-                &mut net,
-                id,
-                NodeConfig::new(Point::new(i as f64 * 6.0, 0.0), 7.0),
-            );
+            let cfg = NodeConfig::new(Point::new(i as f64 * 6.0, 0.0), 7.0);
+            m.apply(&mut net, &Event::Join { cfg });
         }
         net
     }
@@ -387,12 +383,8 @@ mod tests {
         let mut net = Network::new(15.0);
         let mut m = Minim::default();
         for i in 0..3 {
-            let id = net.next_id();
-            m.on_join(
-                &mut net,
-                id,
-                NodeConfig::new(Point::new(i as f64 * 6.0, 0.0), 13.0),
-            );
+            let cfg = NodeConfig::new(Point::new(i as f64 * 6.0, 0.0), 13.0);
+            m.apply(&mut net, &Event::Join { cfg });
         }
         let mut sim = RadioSim::new(RadioConfig {
             retune_slots: 5,
@@ -535,8 +527,8 @@ mod tests {
         let mut net = Network::new(15.0);
         let mut m = Minim::default();
         for (x, y) in [(0.0, 0.0), (8.0, 0.0), (500.0, 0.0), (508.0, 0.0)] {
-            let id = net.next_id();
-            m.on_join(&mut net, id, NodeConfig::new(Point::new(x, y), 10.0));
+            let cfg = NodeConfig::new(Point::new(x, y), 10.0);
+            m.apply(&mut net, &Event::Join { cfg });
         }
         let run_with = |reception: Reception| {
             let mut sim = RadioSim::new(RadioConfig {
@@ -566,26 +558,14 @@ mod tests {
         let mut net = Network::new(40.0);
         let mut m = Minim::default();
         // The weak pair, 30 apart with just-enough range.
-        let far_a = net.next_id();
-        m.on_join(
-            &mut net,
-            far_a,
-            NodeConfig::new(Point::new(0.0, 60.0), 31.0),
-        );
-        let far_b = net.next_id();
-        m.on_join(
-            &mut net,
-            far_b,
-            NodeConfig::new(Point::new(30.0, 60.0), 31.0),
-        );
+        let cfg = NodeConfig::new(Point::new(0.0, 60.0), 31.0);
+        m.apply(&mut net, &Event::Join { cfg });
+        let cfg = NodeConfig::new(Point::new(30.0, 60.0), 31.0);
+        m.apply(&mut net, &Event::Join { cfg });
         // A dense high-power clump near the weak receiver.
         for k in 0..6 {
-            let id = net.next_id();
-            m.on_join(
-                &mut net,
-                id,
-                NodeConfig::new(Point::new(28.0 + k as f64, 50.0), 60.0),
-            );
+            let cfg = NodeConfig::new(Point::new(28.0 + k as f64, 50.0), 60.0);
+            m.apply(&mut net, &Event::Join { cfg });
         }
         let mut sim = RadioSim::new(RadioConfig {
             retune_slots: 0,
@@ -621,19 +601,15 @@ mod tests {
             }
             let mut m = Minim::default();
             // The weak pair: 30 apart with range 31 — barely closed.
-            let a = net.next_id();
-            m.on_join(&mut net, a, NodeConfig::new(Point::new(0.0, 60.0), 31.0));
-            let b = net.next_id();
-            m.on_join(&mut net, b, NodeConfig::new(Point::new(30.0, 60.0), 31.0));
+            let cfg = NodeConfig::new(Point::new(0.0, 60.0), 31.0);
+            let a = m.apply(&mut net, &Event::Join { cfg }).0.node();
+            let cfg = NodeConfig::new(Point::new(30.0, 60.0), 31.0);
+            let b = m.apply(&mut net, &Event::Join { cfg }).0.node();
             // The clump at y=20: ≥ 40 from both weak nodes, range 35 —
             // loud, but linked only internally.
             for k in 0..6 {
-                let id = net.next_id();
-                m.on_join(
-                    &mut net,
-                    id,
-                    NodeConfig::new(Point::new(28.0 + k as f64, 20.0), 35.0),
-                );
+                let cfg = NodeConfig::new(Point::new(28.0 + k as f64, 20.0), 35.0);
+                m.apply(&mut net, &Event::Join { cfg });
             }
             // Identical link sets: the wall crosses no link.
             assert_eq!(net.graph().out_neighbors(a), &[b]);

@@ -27,13 +27,21 @@
 //!
 //! [`Engine::open`] loads the newest decodable snapshot (each is
 //! CRC-framed *and* self-verifies its fingerprint on rebuild), then
-//! replays the journal suffix through the strategy. The first bad
-//! frame — torn tail or bit rot — truncates the segment at the last
-//! valid boundary; the [`RecoveryReport`] says exactly how many events
-//! were replayed and how many bytes were cut. Because PRs 1–8 proved
-//! the strategies bit-deterministic, replaying the same prefix
+//! replays the journal suffix through the strategy. The first frame
+//! that fails its CRC — torn tail or bit rot — truncates the segment
+//! at the last valid boundary; the [`RecoveryReport`] says exactly how
+//! many events were replayed and how many bytes were cut. Because the
+//! strategies are bit-deterministic, replaying the same prefix
 //! reproduces the pre-crash state *exactly* — recovery is not
 //! approximate, and the tests assert it with whole-state digests.
+//!
+//! A frame whose CRC holds but whose event fails to decode, or fails
+//! the same checks [`Engine::apply`] runs before journaling (say, a
+//! leave of an absent node), is not a torn write: the writer
+//! acknowledged it. Replay stops before it, and the engine opens in
+//! read-only quarantine with a reason naming the segment and byte
+//! offset. Recovery then touches no file, so the frame and every
+//! acknowledged frame after it stay on disk for inspection.
 //!
 //! ## Quarantine
 //!
@@ -152,8 +160,8 @@ pub struct RecoveryReport {
     pub frames_replayed: u64,
     /// Journal bytes discarded past the last valid frame boundary.
     pub bytes_truncated: u64,
-    /// Structurally complete frames dropped for failing their CRC or
-    /// payload decode (torn tails count only toward `bytes_truncated`).
+    /// Structurally complete frames dropped for failing their CRC (torn
+    /// tails count only toward `bytes_truncated`).
     pub corrupt_frames: u64,
     /// Total events reflected in the recovered state (snapshot base +
     /// replayed suffix). Recovered state ≡ a fresh engine fed exactly
@@ -176,6 +184,25 @@ fn parse_seq(name: &str, prefix: &str) -> Option<u64> {
         return None;
     }
     digits.parse().ok()
+}
+
+/// Rejects events that carry non-finite numbers ([`Event::validate`])
+/// or reference nodes absent from `net`. [`Engine::apply`] runs it
+/// before journaling, so a buggy caller can't poison the log with
+/// frames that fail to decode or panic on replay, and recovery runs it
+/// on every decoded frame before replaying it.
+fn check_event(net: &Network, event: &Event) -> Result<(), String> {
+    event
+        .validate()
+        .map_err(|detail| format!("{event:?}: {detail}"))?;
+    let node = match event {
+        Event::Join { .. } => return Ok(()),
+        Event::Leave { node } | Event::Move { node, .. } | Event::SetRange { node, .. } => *node,
+    };
+    if net.config(node).is_none() {
+        return Err(format!("{event:?} targets absent node {node:?}"));
+    }
+    Ok(())
 }
 
 /// The crash-safe facade over a network + strategy pair. See the
@@ -268,6 +295,7 @@ impl Engine {
         // the loop handles them in order.
         let mut seq = base_seq;
         let mut halted = false;
+        let mut invalid_frame = None;
         for &w in wals.iter().filter(|&&w| w >= base_seq) {
             if halted {
                 // Unreachable continuation past a damaged segment: the
@@ -282,37 +310,37 @@ impl Engine {
                 .map_err(|source| EngineError::Io { op: "read", source })?;
             let scanned = journal::scan(&bytes);
 
-            // Replay the valid prefix, watching for frames whose CRC
-            // holds but whose payload doesn't decode (writer bug or
-            // CRC-colliding rot): those truncate too.
+            // Replay the valid prefix. A CRC-valid frame that fails to
+            // decode or to check against the replayed state stops
+            // replay loudly (see the module docs).
             let mut offset = 0usize;
-            let mut bad_payload = false;
             for payload in &scanned.frames {
-                match codec::decode_event(&String::from_utf8_lossy(payload)) {
+                let checked = codec::decode_event(&String::from_utf8_lossy(payload))
+                    .map_err(|e| e.to_string())
+                    .and_then(|event| check_event(&net, &event).map(|()| event));
+                match checked {
                     Ok(event) => {
                         strategy.apply(&mut net, &event);
                         events_applied += 1;
                         report.frames_replayed += 1;
                         offset += FRAME_HEADER + payload.len();
                     }
-                    Err(_) => {
-                        bad_payload = true;
+                    Err(detail) => {
+                        invalid_frame = Some(format!("{name} at byte {offset}: {detail}"));
                         break;
                     }
                 }
             }
+            if invalid_frame.is_some() {
+                break;
+            }
 
-            let cut_at = if bad_payload {
-                offset
-            } else {
-                scanned.valid_len
-            };
-            if bad_payload || scanned.is_damaged() {
-                report.bytes_truncated += (bytes.len() - cut_at) as u64;
-                if bad_payload || scanned.end == ScanEnd::CorruptFrame {
+            if scanned.is_damaged() {
+                report.bytes_truncated += scanned.bytes_truncated as u64;
+                if scanned.end == ScanEnd::CorruptFrame {
                     report.corrupt_frames += 1;
                 }
-                if let Err(source) = fs.truncate(&name, cut_at as u64) {
+                if let Err(source) = fs.truncate(&name, scanned.valid_len as u64) {
                     quarantine = Some(format!("recovery truncate failed: {source}"));
                 }
                 halted = true;
@@ -320,14 +348,19 @@ impl Engine {
         }
         report.events_total = events_applied;
 
-        // Stale generations below the base are leftovers of an
-        // interrupted rotation; clear them (best-effort — recovery
-        // tolerates them either way).
-        for &w in wals.iter().filter(|&&w| w < base_seq) {
-            let _ = fs.remove(&wal_name(w));
-        }
-        for &s in snaps.iter().filter(|&&s| s != base_seq) {
-            let _ = fs.remove(&snap_name(s));
+        if let Some(reason) = invalid_frame {
+            minim_obs::counter!("serve.quarantined", 1);
+            quarantine = Some(format!("recovery stopped at an invalid frame in {reason}"));
+        } else {
+            // Stale generations below the base are leftovers of an
+            // interrupted rotation; clear them (best-effort — recovery
+            // tolerates them either way).
+            for &w in wals.iter().filter(|&&w| w < base_seq) {
+                let _ = fs.remove(&wal_name(w));
+            }
+            for &s in snaps.iter().filter(|&&s| s != base_seq) {
+                let _ = fs.remove(&snap_name(s));
+            }
         }
 
         Ok(Engine {
@@ -419,30 +452,6 @@ impl Engine {
         }
     }
 
-    /// Rejects events that carry non-finite numbers
-    /// ([`Event::validate`]) or reference absent nodes *before* they
-    /// reach the journal, so a buggy caller can't poison the log with
-    /// frames that fail to decode or panic on replay.
-    fn check_event(&self, event: &Event) -> Result<(), EngineError> {
-        event
-            .validate()
-            .map_err(|detail| EngineError::InvalidEvent {
-                detail: format!("{event:?}: {detail}"),
-            })?;
-        let node = match event {
-            Event::Join { .. } => return Ok(()),
-            Event::Leave { node } | Event::Move { node, .. } | Event::SetRange { node, .. } => {
-                *node
-            }
-        };
-        if self.net.config(node).is_none() {
-            return Err(EngineError::InvalidEvent {
-                detail: format!("{event:?} targets absent node {node:?}"),
-            });
-        }
-        Ok(())
-    }
-
     /// Journals `event`, fsyncs per policy, applies it through the
     /// strategy, and auto-snapshots if the interval elapsed. On any
     /// write failure the engine quarantines; see the module docs for
@@ -450,7 +459,7 @@ impl Engine {
     pub fn apply(&mut self, event: &Event) -> Result<AppliedEvent, EngineError> {
         let _span = minim_obs::span!("serve.apply");
         self.guard()?;
-        self.check_event(event)?;
+        check_event(&self.net, event).map_err(|detail| EngineError::InvalidEvent { detail })?;
 
         let payload = codec::encode_event(event);
         let frame = journal::encode_frame(payload.as_bytes());

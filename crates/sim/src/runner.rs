@@ -1,10 +1,16 @@
 //! Scenario runners: apply generated event sequences to a strategy and
 //! accumulate the paper's two metrics.
 //!
-//! The event loop is **delta-driven**: every applied event yields a
-//! [`minim_net::TopologyDelta`] (routed up from the `Network` mutators
-//! through [`RecodingStrategy::apply_delta`]), and per-event
-//! consistency checking — [`ValidationMode::Delta`] — runs
+//! Every executor runs an event through one composition,
+//! [`minim_core::step`]: topology (`apply_topology_delta`) → plan
+//! ([`RecodingStrategy::plan_batched`]) → commit. The sequential
+//! runner reaches it through [`RecodingStrategy::apply_delta`]; the
+//! [`ResidentExecutor`] calls it directly, on shard replicas in its
+//! waves and on the main network in its border pass, with the join ids
+//! pinned in routing order.
+//!
+//! Every applied event yields a [`minim_net::TopologyDelta`], and
+//! per-event consistency checking — [`ValidationMode::Delta`] — runs
 //! `conflict::validate_delta` on just the delta's affected
 //! neighborhood, `O(Δ)` per event. [`ValidationMode::Full`] re-checks
 //! the whole conflict graph after every event (`O(E)`), and exists as
@@ -12,10 +18,10 @@
 //! two against each other on the Fig 10 join sweep.
 
 use crate::par::parallel_map;
-use minim_core::{commit_plan, BatchLocality, RecodeOutcome, RecodingStrategy};
+use minim_core::{step, BatchLocality, EventEffect, RecodeOutcome, RecodingStrategy};
 use minim_geom::Point;
 use minim_graph::conflict;
-use minim_net::event::{apply_topology, apply_topology_delta, Event};
+use minim_net::event::{apply_topology, apply_topology_delta, AppliedEvent, Event};
 use minim_net::workload::MovementWorkload;
 use minim_net::{Disposition, Network, NodeConfig, ShardMap, SliceRoute};
 use rand::Rng;
@@ -156,18 +162,12 @@ pub fn run_events_validated(
     let mut recodings = 0;
     let mut edge_churn = 0;
     for e in events {
-        let (_, effect) = strategy.apply_delta(net, e);
+        let (applied, effect) = strategy.apply_delta(net, e);
         recodings += effect.outcome.recodings();
         edge_churn += effect.delta.edge_churn();
         match mode {
             ValidationMode::Off => {}
-            ValidationMode::Delta => {
-                minim_obs::counter!("sim.validate.delta", 1);
-                let seeds = minim_core::validation_seeds(&effect.delta, &effect.outcome);
-                if let Err(v) = conflict::validate_delta(net.graph(), net.assignment(), &seeds) {
-                    panic!("event {e:?} left a CA1/CA2 violation: {v}");
-                }
-            }
+            ValidationMode::Delta => validate_event(net, &applied, &effect),
             ValidationMode::Full => {
                 minim_obs::counter!("sim.validate.full", 1);
                 if let Err(v) = net.validate() {
@@ -181,6 +181,19 @@ pub fn run_events_validated(
         max_color: net.max_color_index(),
         edge_churn,
         shard_health: None,
+    }
+}
+
+/// The [`ValidationMode::Delta`] check of one event: `O(Δ)` local
+/// validation seeded with the initiator and everything it recoded.
+///
+/// # Panics
+/// Panics if the event left a CA1/CA2 violation.
+fn validate_event(net: &Network, applied: &AppliedEvent, effect: &EventEffect) {
+    minim_obs::counter!("sim.validate.delta", 1);
+    let seeds = minim_core::validation_seeds(&effect.delta, &effect.outcome);
+    if let Err(v) = conflict::validate_delta(net.graph(), net.assignment(), &seeds) {
+        panic!("event {applied:?} left a CA1/CA2 violation: {v}");
     }
 }
 
@@ -315,12 +328,11 @@ impl ResidentState {
     /// `replay` in slice order), merges them into the main network,
     /// and clears the queues. Returns `(recodings, edge_churn)`.
     ///
-    /// Wave jobs run one shard each, concurrently: topology with
-    /// pinned join ids, recode planning via the same `plan_batched`
-    /// decomposition the sequential handlers use, commit, optional
-    /// delta validation — all against the shard's resident
-    /// subnetwork, which stays resident (and allocation-recycled)
-    /// afterwards. The merge replays the events' topology on the main
+    /// Wave jobs run one shard each, concurrently: [`step`] with
+    /// pinned join ids (the same topology → plan → commit composition
+    /// the sequential runner uses), optional delta validation — all
+    /// against the shard's resident subnetwork, which stays resident
+    /// (and allocation-recycled) afterwards. The merge replays the events' topology on the main
     /// network in original order (`O(Δ)` each) and applies each
     /// shard's recoded colors — per-event *changes* only, never a full
     /// assignment copy, which is what keeps the merge `O(Δ)` instead
@@ -363,22 +375,14 @@ impl ResidentState {
                     if let Event::Leave { node } = &events[i] {
                         writes.push((*node, None));
                     }
-                    let (applied, delta) =
-                        apply_topology_delta(&mut sub, &events[i], route.join_ids[i]);
-                    let color_plan = strategy.plan_batched(&sub, &applied, &delta);
-                    let outcome = commit_plan(&mut sub, &color_plan);
-                    recodings += outcome.recodings();
-                    edge_churn += delta.edge_churn();
+                    let (applied, effect) = step(strategy, &mut sub, &events[i], route.join_ids[i]);
+                    recodings += effect.outcome.recodings();
+                    edge_churn += effect.delta.edge_churn();
                     if mode == ValidationMode::Delta {
-                        let seeds = minim_core::validation_seeds(&delta, &outcome);
-                        if let Err(v) =
-                            conflict::validate_delta(sub.graph(), sub.assignment(), &seeds)
-                        {
-                            panic!("event {applied:?} left a CA1/CA2 violation: {v}");
-                        }
+                        validate_event(&sub, &applied, &effect);
                     }
-                    writes.extend(outcome.recoded.iter().map(|&(n, _, c)| (n, Some(c))));
-                    sub.recycle_delta(delta);
+                    writes.extend(effect.outcome.recoded.iter().map(|&(n, _, c)| (n, Some(c))));
+                    sub.recycle_delta(effect.delta);
                 }
                 *subs[s].lock().expect("shard slot poisoned") = Some(sub);
                 (recodings, edge_churn, writes)
@@ -586,8 +590,8 @@ impl ResidentExecutor {
                     wave_start = i + 1;
 
                     // The border event itself runs sequentially on
-                    // the main network — same plan/commit
-                    // decomposition as the wave path.
+                    // the main network — the same `step` as the wave
+                    // path.
                     let _span = minim_obs::span!("resident.border_barrier");
                     let e = &events[i];
                     let join_id = state.route.join_ids[i];
@@ -597,21 +601,14 @@ impl ResidentExecutor {
                         | Event::SetRange { node, .. } => net.config(*node),
                         Event::Join { .. } => None,
                     };
-                    let (applied, delta) = apply_topology_delta(net, e, join_id);
-                    let color_plan = strategy.plan_batched(net, &applied, &delta);
-                    let outcome = commit_plan(net, &color_plan);
-                    recodings += outcome.recodings();
-                    edge_churn += delta.edge_churn();
+                    let (applied, effect) = step(strategy, net, e, join_id);
+                    recodings += effect.outcome.recodings();
+                    edge_churn += effect.delta.edge_churn();
                     if mode == ValidationMode::Delta {
-                        let seeds = minim_core::validation_seeds(&delta, &outcome);
-                        if let Err(v) =
-                            conflict::validate_delta(net.graph(), net.assignment(), &seeds)
-                        {
-                            panic!("event {applied:?} left a CA1/CA2 violation: {v}");
-                        }
+                        validate_event(net, &applied, &effect);
                     }
-                    state.refresh_after_border(net, e, join_id, prior, &outcome);
-                    net.recycle_delta(delta);
+                    state.refresh_after_border(net, e, join_id, prior, &effect.outcome);
+                    net.recycle_delta(effect.delta);
                 }
             }
         }
@@ -784,52 +781,22 @@ mod tests {
             fn name(&self) -> &'static str {
                 "sloppy"
             }
-            fn on_join_delta(
-                &mut self,
-                net: &mut Network,
-                id: minim_graph::NodeId,
-                cfg: minim_net::NodeConfig,
-            ) -> minim_core::EventEffect {
-                let delta = net.insert_node(id, cfg);
-                minim_core::EventEffect {
-                    delta,
-                    outcome: minim_core::RecodeOutcome::default(),
-                }
+            fn plan_batched(
+                &self,
+                _net: &Network,
+                _applied: &AppliedEvent,
+                _delta: &minim_net::TopologyDelta,
+            ) -> minim_core::ColorPlan {
+                Vec::new()
             }
-            fn on_leave_delta(
+            // Skips the provided method's debug-build check, so the
+            // runner's own delta validation is what fires.
+            fn apply_delta(
                 &mut self,
                 net: &mut Network,
-                id: minim_graph::NodeId,
-            ) -> minim_core::EventEffect {
-                let delta = net.remove_node(id);
-                minim_core::EventEffect {
-                    delta,
-                    outcome: minim_core::RecodeOutcome::default(),
-                }
-            }
-            fn on_move_delta(
-                &mut self,
-                net: &mut Network,
-                id: minim_graph::NodeId,
-                to: minim_geom::Point,
-            ) -> minim_core::EventEffect {
-                let delta = net.move_node(id, to);
-                minim_core::EventEffect {
-                    delta,
-                    outcome: minim_core::RecodeOutcome::default(),
-                }
-            }
-            fn on_set_range_delta(
-                &mut self,
-                net: &mut Network,
-                id: minim_graph::NodeId,
-                range: f64,
-            ) -> minim_core::EventEffect {
-                let delta = net.set_range(id, range);
-                minim_core::EventEffect {
-                    delta,
-                    outcome: minim_core::RecodeOutcome::default(),
-                }
+                event: &Event,
+            ) -> (AppliedEvent, EventEffect) {
+                step(self, net, event, None)
             }
         }
         let mut rng = StdRng::seed_from_u64(3);

@@ -18,6 +18,7 @@
 
 use minim::core::{Cp, Minim, RecodingStrategy};
 use minim::geom::Point;
+use minim::net::event::Event;
 use minim::net::workload::RangeDist;
 use minim::net::{Network, NodeConfig};
 use minim::sim::scenario::{Measure, PhaseSpec, Scenario, ScenarioSpec, SweepAxis, TopologyFamily};
@@ -73,20 +74,29 @@ fn main() {
         let mut net = Network::new(15.0);
         let mut ids = Vec::new();
         for k in 0..6 {
-            let id = net.next_id();
             let pos = Point::new(30.0 + (k % 2) as f64 * 4.0, 12.0 + (k / 2) as f64 * 5.0);
-            strategy.on_join(&mut net, id, NodeConfig::new(pos, 9.0));
+            let cfg = NodeConfig::new(pos, 9.0);
+            let id = strategy.apply(&mut net, &Event::Join { cfg }).0.node();
             assert!(net.validate().is_ok(), "{label}: join broke CA1/CA2");
             ids.push(id);
         }
         // One advance step, validated move by move.
         for &id in &ids {
             let pos = net.config(id).unwrap().pos;
-            strategy.on_move(&mut net, id, Point::new(pos.x, pos.y + 4.0));
+            let to = Point::new(pos.x, pos.y + 4.0);
+            strategy.apply(&mut net, &Event::Move { node: id, to });
             assert!(net.validate().is_ok(), "{label}: move broke CA1/CA2");
         }
         let leader = ids[1];
-        let out = strategy.on_set_range(&mut net, leader, 40.0);
+        let out = strategy
+            .apply(
+                &mut net,
+                &Event::SetRange {
+                    node: leader,
+                    range: 40.0,
+                },
+            )
+            .1;
         assert!(net.validate().is_ok(), "{label}: boost broke CA1/CA2");
         if label == "Minim" {
             assert!(out.recodings() <= 1, "Thm 4.2.3: boost recodes <= 1");
@@ -98,7 +108,15 @@ fn main() {
                 out.recoded.iter().map(|(n, _, _)| *n).collect::<Vec<_>>()
             );
         }
-        let drop = strategy.on_set_range(&mut net, leader, 9.0);
+        let drop = strategy
+            .apply(
+                &mut net,
+                &Event::SetRange {
+                    node: leader,
+                    range: 9.0,
+                },
+            )
+            .1;
         assert_eq!(drop.recodings(), 0, "{label}: power decrease must be free");
         assert!(net.validate().is_ok());
         println!("{label}: every event validated, dropping power recoded 0 (Thm 4.3.3)");

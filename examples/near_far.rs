@@ -28,9 +28,8 @@ fn main() {
     let mut net = Network::new(25.0);
     let mut strategy = Minim::default();
     let mut place = |x: f64, y: f64| {
-        let id = net.next_id();
-        strategy.on_join(&mut net, id, NodeConfig::new(Point::new(x, y), 25.0));
-        id
+        let cfg = NodeConfig::new(Point::new(x, y), 25.0);
+        strategy.apply(&mut net, &Event::Join { cfg }).0.node()
     };
     for k in 0..6 {
         place(40.0 + 3.0 * (k % 3) as f64, 40.0 + 3.0 * (k / 3) as f64);
@@ -57,7 +56,15 @@ fn main() {
         let Event::SetRange { node, range } = e else {
             panic!("a pure power pass emits only set-range events");
         };
-        let out = strategy.on_set_range(&mut net, *node, *range);
+        let out = strategy
+            .apply(
+                &mut net,
+                &Event::SetRange {
+                    node: *node,
+                    range: *range,
+                },
+            )
+            .1;
         recodings += out.recodings();
         assert!(net.validate().is_ok(), "CA1/CA2 after every event");
     }

@@ -8,6 +8,7 @@
 
 use minim::core::{bounds, Minim, RecodingStrategy};
 use minim::geom::Point;
+use minim::net::event::Event;
 use minim::net::{Network, NodeConfig};
 
 fn print_state(net: &Network, what: &str) {
@@ -36,8 +37,8 @@ fn main() {
     // of nodes (Lemma 4.1.1).
     for i in 0..5 {
         let cfg = NodeConfig::new(Point::new(i as f64 * 6.0, 0.0), 7.0);
-        let id = net.next_id();
-        let outcome = minim.on_join(&mut net, id, cfg);
+        let (applied, outcome) = minim.apply(&mut net, &Event::Join { cfg });
+        let id = applied.node();
         println!(
             "join {id}: {} node(s) recoded {:?}",
             outcome.recodings(),
@@ -57,7 +58,8 @@ fn main() {
     // maximum-weight bipartite matching and changes as few codes as
     // possible.
     let mover = net.iter_nodes().next().expect("network is populated");
-    let outcome = minim.on_move(&mut net, mover, Point::new(15.0, 4.0));
+    let to = Point::new(15.0, 4.0);
+    let outcome = minim.apply(&mut net, &Event::Move { node: mover, to }).1;
     println!(
         "move {mover}: {} recoded (minimal bound holds by Thm 4.4.4)",
         outcome.recodings()
@@ -68,7 +70,15 @@ fn main() {
     // recoded (Thm 4.2.3) — check against the instance lower bound.
     let booster = net.iter_nodes().nth(2).expect("network is populated");
     let before = net.clone();
-    let outcome = minim.on_set_range(&mut net, booster, 20.0);
+    let outcome = minim
+        .apply(
+            &mut net,
+            &Event::SetRange {
+                node: booster,
+                range: 20.0,
+            },
+        )
+        .1;
     let _ = before;
     println!("power-up {booster}: {} recoded", outcome.recodings());
     assert!(outcome.recodings() <= 1);
@@ -76,18 +86,18 @@ fn main() {
 
     // Leaving is free (Thm 4.3.3).
     let leaver = net.iter_nodes().nth(1).expect("network is populated");
-    let outcome = minim.on_leave(&mut net, leaver);
+    let outcome = minim.apply(&mut net, &Event::Leave { node: leaver }).1;
     assert_eq!(outcome.recodings(), 0);
     print_state(&net, "leave");
 
     // The minimal-bound calculators are public — sanity-check a fresh
     // join against Lemma 4.1.1.
     let cfg = NodeConfig::new(Point::new(12.0, 2.0), 7.0);
-    let id = net.next_id();
+    let id = net.peek_next_id();
     let mut probe = net.clone();
     probe.insert_node(id, cfg);
     let bound = bounds::minimal_bound_join(&probe, id);
-    let outcome = minim.on_join(&mut net, id, cfg);
+    let outcome = minim.apply(&mut net, &Event::Join { cfg }).1;
     println!(
         "final join {id}: recoded {} (instance lower bound {bound})",
         outcome.recodings()

@@ -14,6 +14,7 @@
 use minim::core::{Minim, RecodingStrategy};
 use minim::geom::Point;
 use minim::graph::NodeId;
+use minim::net::event::Event;
 use minim::net::{Network, NodeConfig};
 use minim::proto::parallel_minim_joins;
 
@@ -36,16 +37,14 @@ fn main() {
     // Launch the two rings (inner ring talks farther).
     let mut ring_a = Vec::new();
     for k in 0..RING_A {
-        let id = net.next_id();
-        let pos = ring_position(center, 18.0, k, RING_A, 0.0);
-        minim.on_join(&mut net, id, NodeConfig::new(pos, 16.0));
+        let cfg = NodeConfig::new(ring_position(center, 18.0, k, RING_A, 0.0), 16.0);
+        let id = minim.apply(&mut net, &Event::Join { cfg }).0.node();
         ring_a.push(id);
     }
     let mut ring_b = Vec::new();
     for k in 0..RING_B {
-        let id = net.next_id();
-        let pos = ring_position(center, 34.0, k, RING_B, 0.2);
-        minim.on_join(&mut net, id, NodeConfig::new(pos, 15.0));
+        let cfg = NodeConfig::new(ring_position(center, 34.0, k, RING_B, 0.2), 15.0);
+        let id = minim.apply(&mut net, &Event::Join { cfg }).0.node();
         ring_b.push(id);
     }
     assert!(net.validate().is_ok());
@@ -62,19 +61,13 @@ fn main() {
         let phase_a = tick as f64 * 0.15;
         let phase_b = 0.2 - tick as f64 * 0.1;
         for (k, &id) in ring_a.iter().enumerate() {
-            let out = minim.on_move(
-                &mut net,
-                id,
-                ring_position(center, 18.0, k, RING_A, phase_a),
-            );
+            let to = ring_position(center, 18.0, k, RING_A, phase_a);
+            let out = minim.apply(&mut net, &Event::Move { node: id, to }).1;
             total_recodings += out.recodings();
         }
         for (k, &id) in ring_b.iter().enumerate() {
-            let out = minim.on_move(
-                &mut net,
-                id,
-                ring_position(center, 34.0, k, RING_B, phase_b),
-            );
+            let to = ring_position(center, 34.0, k, RING_B, phase_b);
+            let out = minim.apply(&mut net, &Event::Move { node: id, to }).1;
             total_recodings += out.recodings();
         }
         assert!(net.validate().is_ok(), "tick {tick} broke CA1/CA2");

@@ -38,6 +38,7 @@
 //! ## Quickstart
 //!
 //! ```
+//! use minim::net::event::Event;
 //! use minim::net::{Network, NodeConfig};
 //! use minim::core::{Minim, RecodingStrategy};
 //! use minim::geom::Point;
@@ -48,8 +49,8 @@
 //! // CA1/CA2 hold after every event.
 //! for (i, (x, y)) in [(0.0, 0.0), (4.0, 0.0), (8.0, 0.0)].iter().enumerate() {
 //!     let cfg = NodeConfig::new(Point::new(*x, *y), 5.0);
-//!     let id = net.next_id();
-//!     let outcome = strategy.on_join(&mut net, id, cfg);
+//!     let (applied, outcome) = strategy.apply(&mut net, &Event::Join { cfg });
+//!     let id = applied.node();
 //!     println!("node {id} joined, {} nodes recoded", outcome.recoded.len());
 //! }
 //! assert!(net.validate().is_ok());

@@ -175,31 +175,27 @@ impl OracleMinim {
     }
 }
 
-impl RecodingStrategy for OracleMinim {
-    fn name(&self) -> &'static str {
-        "OracleMinim"
-    }
-
-    fn on_join_delta(&mut self, net: &mut Network, id: NodeId, cfg: NodeConfig) -> EventEffect {
+impl OracleMinim {
+    fn join(net: &mut Network, id: NodeId, cfg: NodeConfig) -> EventEffect {
         let delta = net.insert_node(id, cfg);
         let outcome = Self::matching_recode(net, id);
         EventEffect { delta, outcome }
     }
 
-    fn on_leave_delta(&mut self, net: &mut Network, id: NodeId) -> EventEffect {
+    fn leave(net: &mut Network, id: NodeId) -> EventEffect {
         let before = net.snapshot_assignment();
         let delta = net.remove_node(id);
         let outcome = RecodeOutcome::from_diff(net, &before);
         EventEffect { delta, outcome }
     }
 
-    fn on_move_delta(&mut self, net: &mut Network, id: NodeId, to: Point) -> EventEffect {
+    fn move_to(net: &mut Network, id: NodeId, to: Point) -> EventEffect {
         let delta = net.move_node(id, to);
         let outcome = Self::matching_recode(net, id);
         EventEffect { delta, outcome }
     }
 
-    fn on_set_range_delta(&mut self, net: &mut Network, id: NodeId, range: f64) -> EventEffect {
+    fn set_range(net: &mut Network, id: NodeId, range: f64) -> EventEffect {
         let current = net.config(id).expect("node exists").range;
         let dir = if range > current {
             PowerDirection::Increase
@@ -270,12 +266,8 @@ impl OracleCp {
     }
 }
 
-impl RecodingStrategy for OracleCp {
-    fn name(&self) -> &'static str {
-        "OracleCP"
-    }
-
-    fn on_join_delta(&mut self, net: &mut Network, id: NodeId, cfg: NodeConfig) -> EventEffect {
+impl OracleCp {
+    fn join(net: &mut Network, id: NodeId, cfg: NodeConfig) -> EventEffect {
         let before = net.snapshot_assignment();
         let delta = net.insert_node(id, cfg);
         Self::join_recode(net, id);
@@ -283,14 +275,14 @@ impl RecodingStrategy for OracleCp {
         EventEffect { delta, outcome }
     }
 
-    fn on_leave_delta(&mut self, net: &mut Network, id: NodeId) -> EventEffect {
+    fn leave(net: &mut Network, id: NodeId) -> EventEffect {
         let before = net.snapshot_assignment();
         let delta = net.remove_node(id);
         let outcome = RecodeOutcome::from_diff(net, &before);
         EventEffect { delta, outcome }
     }
 
-    fn on_move_delta(&mut self, net: &mut Network, id: NodeId, to: Point) -> EventEffect {
+    fn move_to(net: &mut Network, id: NodeId, to: Point) -> EventEffect {
         let before = net.snapshot_assignment();
         net.assignment_mut().unset(id);
         let delta = net.move_node(id, to);
@@ -299,7 +291,7 @@ impl RecodingStrategy for OracleCp {
         EventEffect { delta, outcome }
     }
 
-    fn on_set_range_delta(&mut self, net: &mut Network, id: NodeId, range: f64) -> EventEffect {
+    fn set_range(net: &mut Network, id: NodeId, range: f64) -> EventEffect {
         let current = net.config(id).expect("node exists").range;
         let increase = range > current;
         let before = net.snapshot_assignment();
@@ -325,16 +317,43 @@ impl RecodingStrategy for OracleCp {
     }
 }
 
-/// Runs one strategy over an event list, collecting every outcome.
+/// Applies one event through `OracleMinim`. The oracles read state
+/// from before the event, which a plan over the applied topology
+/// cannot, so they are plain event functions, not strategies.
+fn oracle_minim(net: &mut Network, event: &Event) -> RecodeOutcome {
+    match *event {
+        Event::Join { cfg } => {
+            let id = net.next_id();
+            OracleMinim::join(net, id, cfg).outcome
+        }
+        Event::Leave { node } => OracleMinim::leave(net, node).outcome,
+        Event::Move { node, to } => OracleMinim::move_to(net, node, to).outcome,
+        Event::SetRange { node, range } => OracleMinim::set_range(net, node, range).outcome,
+    }
+}
+
+/// Applies one event through `OracleCp`.
+fn oracle_cp(net: &mut Network, event: &Event) -> RecodeOutcome {
+    match *event {
+        Event::Join { cfg } => {
+            let id = net.next_id();
+            OracleCp::join(net, id, cfg).outcome
+        }
+        Event::Leave { node } => OracleCp::leave(net, node).outcome,
+        Event::Move { node, to } => OracleCp::move_to(net, node, to).outcome,
+        Event::SetRange { node, range } => OracleCp::set_range(net, node, range).outcome,
+    }
+}
+
+/// Runs `apply` over an event list, collecting every outcome.
 fn run_collect(
-    strategy: &mut dyn RecodingStrategy,
+    mut apply: impl FnMut(&mut Network, &Event) -> RecodeOutcome,
     events: &[Event],
 ) -> (Network, Vec<RecodeOutcome>) {
     let mut net = Network::new(25.0);
     let mut outcomes = Vec::with_capacity(events.len());
     for e in events {
-        let (_, outcome) = strategy.apply(&mut net, e);
-        outcomes.push(outcome);
+        outcomes.push(apply(&mut net, e));
     }
     (net, outcomes)
 }
@@ -346,8 +365,9 @@ fn run_collect(
 fn minim_delta_path_bit_identical_to_full_rederivation_oracle() {
     for seed in 0..8 {
         let events = mixed_events(seed, 30, 40);
-        let (net_d, out_d) = run_collect(&mut minim::core::Minim::default(), &events);
-        let (net_o, out_o) = run_collect(&mut OracleMinim, &events);
+        let mut minim = minim::core::Minim::default();
+        let (net_d, out_d) = run_collect(|net, e| minim.apply(net, e).1, &events);
+        let (net_o, out_o) = run_collect(oracle_minim, &events);
         assert_eq!(out_d.len(), out_o.len());
         for (i, (d, o)) in out_d.iter().zip(&out_o).enumerate() {
             assert_eq!(d, o, "seed {seed}: outcome diverged at event {i}");
@@ -366,8 +386,9 @@ fn minim_delta_path_bit_identical_to_full_rederivation_oracle() {
 fn cp_delta_path_bit_identical_to_full_rederivation_oracle() {
     for seed in 20..26 {
         let events = mixed_events(seed, 25, 30);
-        let (net_d, out_d) = run_collect(&mut minim::core::Cp::default(), &events);
-        let (net_o, out_o) = run_collect(&mut OracleCp, &events);
+        let mut cp = minim::core::Cp::default();
+        let (net_d, out_d) = run_collect(|net, e| cp.apply(net, e).1, &events);
+        let (net_o, out_o) = run_collect(oracle_cp, &events);
         for (i, (d, o)) in out_d.iter().zip(&out_o).enumerate() {
             assert_eq!(d, o, "seed {seed}: CP outcome diverged at event {i}");
         }

@@ -5,6 +5,7 @@
 use minim::core::{Cp, Minim, RecodingStrategy};
 use minim::geom::{sample, Point, Rect};
 use minim::graph::NodeId;
+use minim::net::event::Event;
 use minim::net::{Network, NodeConfig};
 use minim::proto::{distributed_cp_join, distributed_minim_join, parallel_minim_joins};
 use rand::rngs::StdRng;
@@ -30,8 +31,7 @@ fn distributed_minim_growth_equals_centralized() {
     let mut minim = Minim::default();
     let mut total_msgs = 0;
     for cfg in &cfgs {
-        let id_c = net_c.next_id();
-        minim.on_join(&mut net_c, id_c, *cfg);
+        let id_c = minim.apply(&mut net_c, &Event::Join { cfg: *cfg }).0.node();
         let id_d = net_d.next_id();
         let (_, metrics) = distributed_minim_join(&mut net_d, id_d, *cfg);
         total_msgs += metrics.messages;
@@ -57,8 +57,7 @@ fn distributed_cp_growth_equals_centralized() {
     let mut net_d = Network::new(30.5);
     let mut cp = Cp::default();
     for cfg in &cfgs {
-        let id_c = net_c.next_id();
-        cp.on_join(&mut net_c, id_c, *cfg);
+        let id_c = cp.apply(&mut net_c, &Event::Join { cfg: *cfg }).0.node();
         let id_d = net_d.next_id();
         distributed_cp_join(&mut net_d, id_d, *cfg);
         assert_eq!(
@@ -79,12 +78,8 @@ fn parallel_joins_then_centralized_events() {
     let mut net = Network::new(10.0);
     let mut minim = Minim::default();
     for i in 0..16 {
-        let id = net.next_id();
-        minim.on_join(
-            &mut net,
-            id,
-            NodeConfig::new(Point::new(i as f64 * 6.0, 0.0), 7.0),
-        );
+        let cfg = NodeConfig::new(Point::new(i as f64 * 6.0, 0.0), 7.0);
+        minim.apply(&mut net, &Event::Join { cfg });
     }
     let joins = [
         (NodeId(100), NodeConfig::new(Point::new(0.0, 6.0), 7.0)),
@@ -106,7 +101,7 @@ fn parallel_joins_then_centralized_events() {
             10.0,
             &Rect::paper_arena(),
         );
-        minim.on_move(&mut net, victim, to);
+        minim.apply(&mut net, &Event::Move { node: victim, to });
         assert!(net.validate().is_ok());
     }
 }
@@ -128,8 +123,7 @@ fn message_cost_tracks_degree_not_network_size() {
                 sample::uniform_point(&mut rng, &arena),
                 sample::uniform_range(&mut rng, 10.0, 15.0),
             );
-            let id = net.next_id();
-            minim.on_join(&mut net, id, cfg);
+            minim.apply(&mut net, &Event::Join { cfg });
         }
         let id = net.next_id();
         let (_, metrics) =

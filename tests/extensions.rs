@@ -28,12 +28,8 @@ fn obstacles_partition_the_code_space() {
     // all conflict; with the wall the two rooms are independent.
     for side in [10.0, 90.0] {
         for k in 0..5 {
-            let id = net.next_id();
-            minim.on_join(
-                &mut net,
-                id,
-                NodeConfig::new(Point::new(side + k as f64, 40.0 + k as f64), 30.0),
-            );
+            let cfg = NodeConfig::new(Point::new(side + k as f64, 40.0 + k as f64), 30.0);
+            minim.apply(&mut net, &Event::Join { cfg });
         }
     }
     assert!(net.validate().is_ok());
@@ -42,13 +38,15 @@ fn obstacles_partition_the_code_space() {
 
     // A mobile wandering within its room keeps its code…
     let wanderer = net.node_ids()[0];
-    let out = minim.on_move(&mut net, wanderer, Point::new(20.0, 45.0));
+    let to = Point::new(20.0, 45.0);
+    let out = minim.apply(&mut net, &Event::Move { node: wanderer, to }).1;
     assert!(net.validate().is_ok());
     assert_eq!(out.recodings(), 0, "same room, same constraints");
 
     // …but crossing into the other room collides with its double and
     // must be recoded.
-    let out = minim.on_move(&mut net, wanderer, Point::new(85.0, 45.0));
+    let to = Point::new(85.0, 45.0);
+    let out = minim.apply(&mut net, &Event::Move { node: wanderer, to }).1;
     assert!(net.validate().is_ok());
     assert!(out.recodings() >= 1, "new room, new constraints");
     assert!(
@@ -109,15 +107,11 @@ fn group_mobility_with_minim() {
     for (gx, gy) in [(20.0, 30.0), (70.0, 60.0), (40.0, 80.0)] {
         let mut squad = Vec::new();
         for k in 0..4 {
-            let id = net.next_id();
-            minim.on_join(
-                &mut net,
-                id,
-                NodeConfig::new(
-                    Point::new(gx + (k % 2) as f64 * 4.0, gy + (k / 2) as f64 * 4.0),
-                    14.0,
-                ),
+            let cfg = NodeConfig::new(
+                Point::new(gx + (k % 2) as f64 * 4.0, gy + (k / 2) as f64 * 4.0),
+                14.0,
             );
+            let id = minim.apply(&mut net, &Event::Join { cfg }).0.node();
             squad.push(id);
         }
         squads.push(squad);

@@ -5,6 +5,7 @@
 use minim::core::{bounds, gossip::GossipCompactor, Minim, RecodingStrategy, StrategyKind};
 use minim::geom::{sample, Point, Rect};
 use minim::graph::{conflict, Color};
+use minim::net::event::Event;
 use minim::net::{Network, NodeConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -25,20 +26,26 @@ fn churn(kind: StrategyKind, steps: usize, seed: u64) {
                 sample::uniform_point(&mut rng, &arena),
                 sample::uniform_range(&mut rng, 12.0, 32.0),
             );
-            let id = net.next_id();
-            strategy.on_join(&mut net, id, cfg);
+            strategy.apply(&mut net, &Event::Join { cfg });
         } else {
             let ids = net.node_ids();
             let victim = ids[rng.gen_range(0..ids.len())];
             if roll < 0.5 {
-                strategy.on_leave(&mut net, victim);
+                strategy.apply(&mut net, &Event::Leave { node: victim });
             } else if roll < 0.75 {
                 let to =
                     sample::random_move(&mut rng, net.config(victim).unwrap().pos, 35.0, &arena);
-                strategy.on_move(&mut net, victim, to);
+                strategy.apply(&mut net, &Event::Move { node: victim, to });
             } else {
                 let r = net.config(victim).unwrap().range;
-                strategy.on_set_range(&mut net, victim, r * rng.gen_range(0.4..2.5));
+                let range = r * rng.gen_range(0.4..2.5);
+                strategy.apply(
+                    &mut net,
+                    &Event::SetRange {
+                        node: victim,
+                        range,
+                    },
+                );
             }
         }
         assert!(
@@ -80,8 +87,7 @@ fn minim_attains_every_per_event_bound() {
             sample::uniform_point(&mut rng, &arena),
             sample::uniform_range(&mut rng, 15.0, 30.0),
         );
-        let id = net.next_id();
-        minim.on_join(&mut net, id, cfg);
+        minim.apply(&mut net, &Event::Join { cfg });
     }
     for _ in 0..120 {
         let roll: f64 = rng.gen();
@@ -91,11 +97,11 @@ fn minim_attains_every_per_event_bound() {
                 sample::uniform_point(&mut rng, &arena),
                 sample::uniform_range(&mut rng, 15.0, 30.0),
             );
-            let id = net.next_id();
+            let id = net.peek_next_id();
             let mut probe = net.clone();
             probe.insert_node(id, cfg);
             let bound = bounds::minimal_bound_join(&probe, id);
-            let out = minim.on_join(&mut net, id, cfg);
+            let out = minim.apply(&mut net, &Event::Join { cfg }).1;
             assert_eq!(out.recodings(), bound, "join bound");
         } else if roll < 0.6 {
             let ids = net.node_ids();
@@ -104,7 +110,7 @@ fn minim_attains_every_per_event_bound() {
             let mut probe = net.clone();
             probe.move_node(victim, to);
             let bound = bounds::minimal_bound_move(&probe, victim);
-            let out = minim.on_move(&mut net, victim, to);
+            let out = minim.apply(&mut net, &Event::Move { node: victim, to }).1;
             assert_eq!(out.recodings(), bound, "move bound");
         } else if roll < 0.85 {
             let ids = net.node_ids();
@@ -114,13 +120,30 @@ fn minim_attains_every_per_event_bound() {
             let mut probe = net.clone();
             probe.set_range(victim, r * factor);
             let bound = bounds::minimal_bound_pow_increase(&probe, victim);
-            let out = minim.on_set_range(&mut net, victim, r * factor);
+            let out = minim
+                .apply(
+                    &mut net,
+                    &Event::SetRange {
+                        node: victim,
+                        range: r * factor,
+                    },
+                )
+                .1;
             assert_eq!(out.recodings(), bound, "power-increase bound");
         } else {
             let ids = net.node_ids();
             let victim = ids[rng.gen_range(0..ids.len())];
             let r = net.config(victim).unwrap().range;
-            let out = minim.on_set_range(&mut net, victim, r * 0.5);
+            let range = r * 0.5;
+            let out = minim
+                .apply(
+                    &mut net,
+                    &Event::SetRange {
+                        node: victim,
+                        range,
+                    },
+                )
+                .1;
             assert_eq!(
                 out.recodings(),
                 bounds::minimal_bound_leave_or_decrease(),
@@ -145,8 +168,7 @@ fn no_strategy_beats_the_minimal_bound() {
                 sample::uniform_point(&mut rng, &Rect::paper_arena()),
                 sample::uniform_range(&mut rng, 15.0, 30.0),
             );
-            let id = base.next_id();
-            builder.on_join(&mut base, id, cfg);
+            builder.apply(&mut base, &Event::Join { cfg });
         }
         let cfg = NodeConfig::new(
             sample::uniform_point(&mut rng, &Rect::paper_arena()),
@@ -159,9 +181,8 @@ fn no_strategy_beats_the_minimal_bound() {
         for kind in StrategyKind::ALL {
             let mut net = base.clone();
             let mut s = kind.build();
-            let jid = net.next_id();
-            assert_eq!(jid, id);
-            let out = s.on_join(&mut net, jid, cfg);
+            let (applied, out) = s.apply(&mut net, &Event::Join { cfg });
+            assert_eq!(applied.node(), id);
             assert!(
                 out.recodings() >= bound,
                 "trial {trial}: {} recoded {} < bound {bound}",
@@ -184,8 +205,7 @@ fn validators_catch_injected_corruption() {
             sample::uniform_point(&mut rng, &Rect::paper_arena()),
             sample::uniform_range(&mut rng, 20.5, 30.5),
         );
-        let id = net.next_id();
-        minim.on_join(&mut net, id, cfg);
+        minim.apply(&mut net, &Event::Join { cfg });
     }
     assert!(net.validate().is_ok());
 
@@ -243,8 +263,7 @@ fn gossip_composes_with_all_strategies() {
                 sample::uniform_point(&mut rng, &Rect::paper_arena()),
                 sample::uniform_range(&mut rng, 15.0, 30.0),
             );
-            let id = net.next_id();
-            strategy.on_join(&mut net, id, cfg);
+            strategy.apply(&mut net, &Event::Join { cfg });
         }
         let before = net.max_color_index();
         let stats = GossipCompactor.run(&mut net, 100);
@@ -252,8 +271,7 @@ fn gossip_composes_with_all_strategies() {
         assert!(stats.max_color_after <= before);
         // And the network remains usable by the strategy afterwards.
         let cfg = NodeConfig::new(Point::new(50.0, 50.0), 25.0);
-        let id = net.next_id();
-        strategy.on_join(&mut net, id, cfg);
+        strategy.apply(&mut net, &Event::Join { cfg });
         assert!(net.validate().is_ok());
     }
 }
@@ -271,8 +289,7 @@ fn strategies_are_deterministic() {
                 sample::uniform_point(&mut rng, &Rect::paper_arena()),
                 sample::uniform_range(&mut rng, 20.5, 30.5),
             );
-            let id = net.next_id();
-            minim.on_join(&mut net, id, cfg);
+            minim.apply(&mut net, &Event::Join { cfg });
         }
         net
     };

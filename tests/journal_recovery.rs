@@ -308,6 +308,63 @@ fn nan_join_is_rejected_and_every_acknowledged_event_recovers() {
     assert_matches_oracle(StrategyKind::Minim, &acknowledged, &eng, "NaN join");
 }
 
+/// A frame whose CRC holds but whose event is unusable — a payload
+/// that doesn't decode, or a decodable leave of an absent node — was
+/// acknowledged by the writer, so recovery must not drop it quietly
+/// (nor panic on it). Replay stops before it, the engine opens in
+/// quarantine naming the segment and byte offset, and no file changes:
+/// the bad frame and the good frame after it stay on disk.
+#[test]
+fn invalid_crc_valid_frame_quarantines_without_touching_files() {
+    use minim::graph::NodeId;
+    use minim::serve::codec::encode_event;
+    use minim::serve::{encode_frame, FaultFs};
+
+    let events = churn_events(88, 4);
+    let absent_leave = encode_event(&Event::Leave { node: NodeId(999) });
+    let bad_payloads: [&[u8]; 2] = [b"\x00 not an event", absent_leave.as_bytes()];
+    for bad in bad_payloads {
+        let fs = MemFs::new();
+        let o = opts(StrategyKind::Minim, 0, 1);
+        assert_eq!(drive(&fs, o, &events[..3]), 3);
+        let good = encode_event(&events[3]);
+        fs.with_raw("wal-0000000000", |data| {
+            data.extend_from_slice(&encode_frame(bad));
+            data.extend_from_slice(&encode_frame(good.as_bytes()));
+        });
+        let files = |fs: &MemFs| {
+            let mut probe = fs.clone();
+            let mut names = probe.list().expect("list");
+            names.sort();
+            names
+                .into_iter()
+                .map(|n| {
+                    let bytes = probe.read(&n).expect("read");
+                    (n, bytes)
+                })
+                .collect::<Vec<_>>()
+        };
+        let before = files(&fs);
+
+        let mut eng = Engine::open_with(Box::new(fs.clone()), o).expect("reopen must not panic");
+        let r = *eng.recovery_report();
+        assert!(eng.is_quarantined());
+        let reason = eng.quarantine_reason().expect("reason");
+        assert!(
+            reason.contains("wal-0000000000") && reason.contains("byte"),
+            "{reason}"
+        );
+        assert_eq!(r.events_total, 3);
+        assert_eq!(r.frames_replayed, 3);
+        assert_eq!(r.bytes_truncated, 0);
+        assert_matches_oracle(StrategyKind::Minim, &events, &eng, "invalid frame");
+        let err = eng.apply(&events[3]).unwrap_err();
+        assert!(matches!(err, EngineError::Quarantined { .. }), "{err}");
+        drop(eng);
+        assert_eq!(files(&fs), before, "recovery must touch no file");
+    }
+}
+
 /// Garbage appended past the last valid frame (a torn tail from the
 /// outside world) is truncated with a faithful, non-panicking report —
 /// the behavior CI pins.

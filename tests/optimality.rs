@@ -11,6 +11,7 @@
 use minim::core::{bounds, Minim, RecodingStrategy};
 use minim::geom::{sample, Rect};
 use minim::graph::{Color, NodeId};
+use minim::net::event::Event;
 use minim::net::{Network, NodeConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -73,8 +74,7 @@ fn small_net(n: usize, seed: u64) -> (Network, StdRng) {
             sample::uniform_point(&mut rng, &arena),
             sample::uniform_range(&mut rng, 15.0, 25.0),
         );
-        let id = net.next_id();
-        minim.on_join(&mut net, id, cfg);
+        minim.apply(&mut net, &Event::Join { cfg });
     }
     (net, rng)
 }
@@ -119,8 +119,7 @@ fn join_is_optimal_among_minimal_exhaustively() {
         // Run Minim on the same instance.
         let mut net = base.clone();
         let mut minim = Minim::default();
-        let jid = net.next_id();
-        let out = minim.on_join(&mut net, jid, cfg);
+        let out = minim.apply(&mut net, &Event::Join { cfg }).1;
         assert_eq!(out.recodings(), bound, "seed {seed}: minimality");
         // Thm 4.1.9 as proved: the matching minimizes the *fresh-color
         // tail* beyond the vicinity max. When Minim had to exceed the
@@ -174,7 +173,7 @@ fn move_is_optimal_among_minimal_exhaustively() {
 
         let mut net = base.clone();
         let mut minim = Minim::default();
-        let out = minim.on_move(&mut net, victim, to);
+        let out = minim.apply(&mut net, &Event::Move { node: victim, to }).1;
         assert_eq!(out.recodings(), bound, "seed {seed}: move minimality");
         // Same fresh-tail reading of Thm 4.4.5 as in the join test.
         let pre_max = staged.max_color_index();
@@ -214,7 +213,16 @@ fn power_increase_is_minimal_but_not_always_color_optimal() {
 
         let mut net = base.clone();
         let mut minim = Minim::default();
-        let out = minim.on_set_range(&mut net, victim, r * 2.0);
+        let range = r * 2.0;
+        let out = minim
+            .apply(
+                &mut net,
+                &Event::SetRange {
+                    node: victim,
+                    range,
+                },
+            )
+            .1;
         assert_eq!(out.recodings(), bound, "seed {seed}");
         assert!(net.validate().is_ok());
         minimality_checked += 1;

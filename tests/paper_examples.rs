@@ -10,6 +10,7 @@
 use minim::core::{bounds, plan_recode, Cp, Minim, RecodingStrategy, KEEP_WEIGHT};
 use minim::geom::Point;
 use minim::graph::{conflict, Color, NodeId};
+use minim::net::event::Event;
 use minim::net::{network_from_configs, Network, NodeConfig};
 
 fn c(i: u32) -> Color {
@@ -129,22 +130,21 @@ fn fig4_style_geometric_join_minim_vs_cp() {
     // Minim: bound = (5 colored − 3 classes) + 1 joiner = 3.
     let mut net_m = build();
     let mut minim = Minim::default();
-    let joiner = net_m.next_id();
+    let joiner = net_m.peek_next_id();
     let cfg = NodeConfig::new(Point::new(50.0, 50.0), 7.0);
     {
         let mut probe = net_m.clone();
         probe.insert_node(joiner, cfg);
         assert_eq!(bounds::minimal_bound_join(&probe, joiner), 3);
     }
-    let out_m = minim.on_join(&mut net_m, joiner, cfg);
+    let out_m = minim.apply(&mut net_m, &Event::Join { cfg }).1;
     assert_eq!(out_m.recodings(), 3, "Minim attains the bound exactly");
     assert!(net_m.validate().is_ok());
 
     // CP on the identical instance.
     let mut net_c = build();
     let mut cp = Cp::default();
-    let joiner_c = net_c.next_id();
-    let out_c = cp.on_join(&mut net_c, joiner_c, cfg);
+    let out_c = cp.apply(&mut net_c, &Event::Join { cfg }).1;
     assert!(net_c.validate().is_ok());
     assert!(
         out_c.recodings() >= out_m.recodings(),
@@ -170,7 +170,15 @@ fn fig6_power_increase_recodes_initiator_to_lowest_free_color() {
     assert!(net.validate().is_ok());
 
     let mut minim = Minim::default();
-    let out = minim.on_set_range(&mut net, n, 30.0); // n now reaches a, b, d
+    let out = minim
+        .apply(
+            &mut net,
+            &Event::SetRange {
+                node: n,
+                range: 30.0,
+            },
+        )
+        .1; // n now reaches a, b, d
     assert!(net.validate().is_ok());
     assert_eq!(out.recodings(), 1, "Fig 6: Minim causes exactly 1 recoding");
     assert_eq!(out.recoded[0].0, n, "only the initiator changes");
@@ -191,9 +199,9 @@ fn fig7_power_decrease_needs_no_recoding() {
         let mut net = Network::new(10.0);
         let mut minim = Minim::default();
         for k in 0..7 {
-            let id = net.next_id();
             let p = Point::new((k % 4) as f64 * 8.0, (k / 4) as f64 * 8.0);
-            minim.on_join(&mut net, id, NodeConfig::new(p, 12.0));
+            let cfg = NodeConfig::new(p, 12.0);
+            minim.apply(&mut net, &Event::Join { cfg });
         }
         net
     };
@@ -204,7 +212,16 @@ fn fig7_power_decrease_needs_no_recoding() {
         let mut net = build();
         let victim = net.node_ids()[3];
         let r = net.config(victim).unwrap().range;
-        let out = strategy.on_set_range(&mut net, victim, r * 0.25);
+        let range = r * 0.25;
+        let out = strategy
+            .apply(
+                &mut net,
+                &Event::SetRange {
+                    node: victim,
+                    range,
+                },
+            )
+            .1;
         assert_eq!(out.recodings(), 0, "{}", strategy.name());
         assert!(net.validate().is_ok());
     }
@@ -232,7 +249,15 @@ fn fig9_move_keeps_or_recodes_exactly_the_mover() {
     // so RecodeOnMove keeps it: zero recodings.
     let mut net1 = net.clone();
     let mut minim = Minim::default();
-    let out = minim.on_move(&mut net1, mover, Point::new(-6.0, 0.0));
+    let out = minim
+        .apply(
+            &mut net1,
+            &Event::Move {
+                node: mover,
+                to: Point::new(-6.0, 0.0),
+            },
+        )
+        .1;
     assert_eq!(out.recodings(), 0, "old color reusable at the destination");
     assert_eq!(net1.assignment().get(mover), Some(c(3)));
     assert!(net1.validate().is_ok());
@@ -241,7 +266,15 @@ fn fig9_move_keeps_or_recodes_exactly_the_mover() {
     // its old color; exactly the mover is recoded, to the lowest color
     // legal there — 4, matching the figure's 3 → 4.
     let mut net2 = net.clone();
-    let out = minim.on_move(&mut net2, mover, Point::new(18.0, 0.0));
+    let out = minim
+        .apply(
+            &mut net2,
+            &Event::Move {
+                node: mover,
+                to: Point::new(18.0, 0.0),
+            },
+        )
+        .1;
     assert_eq!(out.recodings(), 1, "Fig 9: exactly one recoding");
     assert_eq!(out.recoded[0].0, mover);
     // At (18,0) the mover hears d (dist 6) and is heard by it; b is 12
@@ -259,7 +292,8 @@ fn fig9_move_keeps_or_recodes_exactly_the_mover() {
     let extra = net3.join(NodeConfig::new(Point::new(18.0, 6.0), 7.0));
     net3.set_color(extra, c(1));
     assert!(net3.validate().is_ok());
-    let out = minim.on_move(&mut net3, mover, Point::new(18.0, 0.0));
+    let to = Point::new(18.0, 0.0);
+    let out = minim.apply(&mut net3, &Event::Move { node: mover, to }).1;
     assert!(net3.validate().is_ok());
     assert_eq!(out.recodings(), 1);
     assert_eq!(
@@ -297,14 +331,12 @@ fn join_recoding_comparison_star_batch() {
         let cfg = NodeConfig::new(Point::new(50.0, 50.0), 7.0);
         let mut net_m = net.clone();
         let mut minim = Minim::default();
-        let id = net_m.next_id();
-        minim_total += minim.on_join(&mut net_m, id, cfg).recodings();
+        minim_total += minim.apply(&mut net_m, &Event::Join { cfg }).1.recodings();
         assert!(net_m.validate().is_ok());
 
         let mut net_c = net.clone();
         let mut cp = Cp::default();
-        let id = net_c.next_id();
-        cp_total += cp.on_join(&mut net_c, id, cfg).recodings();
+        cp_total += cp.apply(&mut net_c, &Event::Join { cfg }).1.recodings();
         assert!(net_c.validate().is_ok());
     }
     assert!(

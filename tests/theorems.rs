@@ -6,6 +6,7 @@
 use minim::core::{bounds, Minim, RecodingStrategy};
 use minim::geom::{sample, Point, Rect};
 use minim::graph::{conflict, Color, NodeId};
+use minim::net::event::Event;
 use minim::net::{Network, NodeConfig};
 use minim::proto::{parallel_minim_joins, ParallelJoinError};
 use rand::rngs::StdRng;
@@ -20,8 +21,7 @@ fn random_net(count: usize, seed: u64) -> (Network, StdRng) {
             sample::uniform_point(&mut rng, &Rect::paper_arena()),
             sample::uniform_range(&mut rng, 20.5, 30.5),
         );
-        let id = net.next_id();
-        minim.on_join(&mut net, id, cfg);
+        minim.apply(&mut net, &Event::Join { cfg });
     }
     (net, rng)
 }
@@ -46,8 +46,7 @@ fn lemma_4_1_1_join_bound_is_universal() {
         for kind in StrategyKind::ALL {
             let mut net = base.clone();
             let mut s = kind.build();
-            let jid = net.next_id();
-            let out = s.on_join(&mut net, jid, cfg);
+            let out = s.apply(&mut net, &Event::Join { cfg }).1;
             assert!(out.recodings() >= bound, "{} beat the bound", s.name());
         }
     }
@@ -62,8 +61,8 @@ fn theorem_4_1_2_join_terminates_on_degenerate_inputs() {
     let mut minim = Minim::default();
     // Empty network.
     let mut net = Network::new(10.0);
-    let id = net.next_id();
-    minim.on_join(&mut net, id, NodeConfig::new(Point::new(0.0, 0.0), 5.0));
+    let cfg = NodeConfig::new(Point::new(0.0, 0.0), 5.0);
+    minim.apply(&mut net, &Event::Join { cfg });
     // A joiner whose whole neighborhood shares one color.
     let mut net = Network::new(10.0);
     let mut ids = Vec::new();
@@ -78,8 +77,8 @@ fn theorem_4_1_2_join_terminates_on_degenerate_inputs() {
         net.set_color(s, Color::new(i as u32 + 1));
     }
     if net.validate().is_ok() {
-        let id = net.next_id();
-        minim.on_join(&mut net, id, NodeConfig::new(Point::new(50.0, 50.0), 9.0));
+        let cfg = NodeConfig::new(Point::new(50.0, 50.0), 9.0);
+        minim.apply(&mut net, &Event::Join { cfg });
         assert!(net.validate().is_ok());
     }
 }
@@ -94,8 +93,7 @@ fn fact_4_1_3_recode_set_colors_are_distinct() {
             sample::uniform_point(&mut rng, &Rect::paper_arena()),
             sample::uniform_range(&mut rng, 20.5, 30.5),
         );
-        let id = net.next_id();
-        minim.on_join(&mut net, id, cfg);
+        let id = minim.apply(&mut net, &Event::Join { cfg }).0.node();
         let set = net.recode_set(id);
         let mut colors: Vec<Color> = set
             .iter()
@@ -161,8 +159,7 @@ fn theorem_4_1_8_join_minimality() {
         let bound = bounds::minimal_bound_join(&probe, id);
         let mut net = base.clone();
         let mut minim = Minim::default();
-        let jid = net.next_id();
-        let out = minim.on_join(&mut net, jid, cfg);
+        let out = minim.apply(&mut net, &Event::Join { cfg }).1;
         assert_eq!(out.recodings(), bound, "seed {seed}");
     }
 }
@@ -180,8 +177,7 @@ fn theorem_4_1_9_fresh_colors_are_consecutive() {
             sample::uniform_point(&mut rng, &Rect::paper_arena()),
             sample::uniform_range(&mut rng, 20.5, 30.5),
         );
-        let id = net.next_id();
-        let out = minim.on_join(&mut net, id, cfg);
+        let out = minim.apply(&mut net, &Event::Join { cfg }).1;
         let mut fresh: Vec<u32> = out
             .recoded
             .iter()
@@ -207,12 +203,8 @@ fn theorem_4_1_10_parallel_joins() {
     let mut net = Network::new(10.0);
     let mut minim = Minim::default();
     for i in 0..14 {
-        let id = net.next_id();
-        minim.on_join(
-            &mut net,
-            id,
-            NodeConfig::new(Point::new(i as f64 * 6.0, 0.0), 7.0),
-        );
+        let cfg = NodeConfig::new(Point::new(i as f64 * 6.0, 0.0), 7.0);
+        minim.apply(&mut net, &Event::Join { cfg });
     }
     let ok = parallel_minim_joins(
         &mut net,
@@ -251,7 +243,16 @@ fn theorems_4_2_power_increase() {
         let mut probe = net.clone();
         probe.set_range(victim, r * factor);
         let bound = bounds::minimal_bound_pow_increase(&probe, victim);
-        let out = minim.on_set_range(&mut net, victim, r * factor);
+        let range = r * factor;
+        let out = minim
+            .apply(
+                &mut net,
+                &Event::SetRange {
+                    node: victim,
+                    range,
+                },
+            )
+            .1;
         assert!(net.validate().is_ok(), "4.2.2 correctness");
         assert_eq!(out.recodings(), bound, "4.2.3 minimality");
         assert!(out.recoded.iter().all(|&(n, _, _)| n == victim));
@@ -268,11 +269,20 @@ fn theorems_4_3_leave_and_decrease() {
         let ids = net.node_ids();
         let victim = ids[rng.gen_range(0..ids.len())];
         if rng.gen_bool(0.5) {
-            let out = minim.on_leave(&mut net, victim);
+            let out = minim.apply(&mut net, &Event::Leave { node: victim }).1;
             assert_eq!(out.recodings(), bounds::minimal_bound_leave_or_decrease());
         } else {
             let r = net.config(victim).unwrap().range;
-            let out = minim.on_set_range(&mut net, victim, r * 0.5);
+            let range = r * 0.5;
+            let out = minim
+                .apply(
+                    &mut net,
+                    &Event::SetRange {
+                        node: victim,
+                        range,
+                    },
+                )
+                .1;
             assert_eq!(out.recodings(), 0);
         }
         assert!(net.validate().is_ok());
@@ -292,19 +302,19 @@ fn theorem_4_4_1_move_decomposition() {
 
         let mut via_move = net0.clone();
         let mut minim = Minim::default();
-        minim.on_move(&mut via_move, victim, to);
+        minim.apply(&mut via_move, &Event::Move { node: victim, to });
 
         // leave + join with memory, built from public API only: the
         // "immediate" rejoin knows its old color.
         let mut via_leave_join = net0.clone();
         let old_color = via_leave_join.assignment().get(victim);
-        minim.on_leave(&mut via_leave_join, victim);
+        minim.apply(&mut via_leave_join, &Event::Leave { node: victim });
         via_leave_join.insert_node(victim, NodeConfig::new(to, cfg.range));
         if let Some(c) = old_color {
             via_leave_join.assignment_mut().set(victim, c);
         }
         // Re-run the move recode machinery via a zero-displacement move.
-        minim.on_move(&mut via_leave_join, victim, to);
+        minim.apply(&mut via_leave_join, &Event::Move { node: victim, to });
 
         assert_eq!(
             via_move.snapshot_assignment(),
@@ -332,7 +342,7 @@ fn theorems_4_4_move_properties() {
         let mut probe = net.clone();
         probe.move_node(victim, to);
         let bound = bounds::minimal_bound_move(&probe, victim);
-        let out = minim.on_move(&mut net, victim, to);
+        let out = minim.apply(&mut net, &Event::Move { node: victim, to }).1;
         assert!(net.validate().is_ok(), "4.4.3 correctness");
         assert_eq!(out.recodings(), bound, "4.4.4 minimality, seed {seed}");
     }
