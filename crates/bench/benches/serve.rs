@@ -9,19 +9,26 @@
 //! wrapper — and the JSON records events/sec per arm plus the
 //! journaled/bare overhead ratio.
 //!
+//! The `snapshot` arm prices one checkpoint of a 5000-node network,
+//! split into its three steps: streaming the document into the frame
+//! buffer, sealing the frame (length + CRC), and the atomic file
+//! replace plus removal of the previous generation. It records each
+//! step's median milliseconds and the frame's bytes.
+//!
 //! Run via `cargo bench -p minim-bench --bench serve`; override the
 //! event count with `MINIM_BENCH_SERVE_N=2000` and the output path
 //! with `MINIM_BENCH_SERVE_OUT=path.json`.
 
 use minim_core::StrategyKind;
+use minim_geom::Point;
 use minim_net::event::{apply_topology, Event};
 use minim_net::workload::{MixWorkload, Placement, RangeDist};
-use minim_net::Network;
-use minim_serve::{Engine, EngineOptions};
+use minim_net::{Network, NodeConfig};
+use minim_serve::{codec, journal, DiskFs, Engine, EngineOptions, FaultFs};
 use minim_sim::json::Json;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
-use std::time::Instant;
+use rand::{Rng, SeedableRng};
+use std::time::{Duration, Instant};
 
 const CELL_HINT: f64 = 30.5;
 
@@ -105,6 +112,80 @@ fn run_journaled(
     (times[times.len() / 2], digest)
 }
 
+/// Nodes in the snapshot arm's network.
+const SNAPSHOT_N: usize = 5_000;
+
+/// A Minim-colored network of `n` nodes at mean degree about 4:
+/// uniform positions in a square of side `10·√n`, ranges 8–14.
+fn snapshot_network(n: usize) -> Network {
+    let side = 10.0 * (n as f64).sqrt();
+    let mut rng = StdRng::seed_from_u64(0x5A4E);
+    let mut net = Network::new(CELL_HINT);
+    let mut minim = StrategyKind::Minim.build();
+    for _ in 0..n {
+        let cfg = NodeConfig::new(
+            Point::new(rng.gen_range(0.0..side), rng.gen_range(0.0..side)),
+            rng.gen_range(8.0..14.0),
+        );
+        minim.apply(&mut net, &Event::Join { cfg });
+    }
+    net
+}
+
+fn median_ms(mut samples: Vec<Duration>) -> f64 {
+    samples.sort();
+    samples[samples.len() / 2].as_secs_f64() * 1e3
+}
+
+/// Snapshot arm: `reps` checkpoints of one network through the
+/// engine's steps, each timed on its own.
+fn run_snapshot(n: usize, reps: usize) -> Json {
+    let net = snapshot_network(n);
+    let dir = std::env::temp_dir().join(format!("minim-bench-snapshot-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut fs = DiskFs::open(&dir).expect("open snapshot dir");
+    let mut frame = Vec::new();
+    let (mut encode, mut seal, mut replace) = (Vec::new(), Vec::new(), Vec::new());
+    for rep in 0..reps {
+        let t = Instant::now();
+        journal::begin_frame(&mut frame);
+        codec::write_snapshot(&mut frame, &net, StrategyKind::Minim, rep as u64)
+            .expect("finite network");
+        encode.push(t.elapsed());
+
+        let t = Instant::now();
+        journal::seal_frame(&mut frame).expect("snapshot under MAX_FRAME");
+        seal.push(t.elapsed());
+
+        let t = Instant::now();
+        fs.replace(&format!("snap-{rep}"), &frame)
+            .expect("replace snapshot");
+        if rep > 0 {
+            fs.remove(&format!("snap-{}", rep - 1))
+                .expect("remove old snapshot");
+        }
+        replace.push(t.elapsed());
+    }
+    drop(fs);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let (encode_ms, frame_ms, replace_ms) =
+        (median_ms(encode), median_ms(seal), median_ms(replace));
+    let bytes = frame.len();
+    println!(
+        "serve/snapshot:        N={n} {bytes} bytes: encode {encode_ms:.2} ms, \
+         frame {frame_ms:.2} ms, replace {replace_ms:.2} ms"
+    );
+    Json::obj(vec![
+        ("n", Json::Num(n as f64)),
+        ("reps", Json::Num(reps as f64)),
+        ("bytes", Json::Num(bytes as f64)),
+        ("encode_ms", Json::Num(encode_ms)),
+        ("frame_ms", Json::Num(frame_ms)),
+        ("replace_ms", Json::Num(replace_ms)),
+    ])
+}
+
 fn main() {
     let n: usize = std::env::var("MINIM_BENCH_SERVE_N")
         .ok()
@@ -144,11 +225,14 @@ fn main() {
         ]));
     }
 
+    let snapshot = run_snapshot(SNAPSHOT_N, 21);
+
     let doc = Json::obj(vec![
         ("schema", Json::Str("minim-bench-serve/1".to_string())),
         ("n", Json::Num(n as f64)),
         ("bare_events_per_sec", Json::Num(bare_eps)),
         ("arms", Json::Arr(arms)),
+        ("snapshot", snapshot),
     ]);
     std::fs::write(&out_path, doc.to_string_pretty()).expect("write BENCH_serve.json");
     println!("wrote {out_path}");

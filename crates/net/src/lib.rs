@@ -791,14 +791,16 @@ impl Network {
     /// Access to the arena-independent spatial state, for rendering and
     /// debugging: `(id, position, range, color)` tuples sorted by id.
     pub fn describe(&self) -> Vec<(NodeId, Point, f64, Option<Color>)> {
-        self.configs
-            .iter()
-            .enumerate()
-            .filter_map(|(i, cfg)| {
-                let id = NodeId(i as u32);
-                cfg.map(|c| (id, c.pos, c.range, self.assignment.get(id)))
-            })
-            .collect()
+        self.describe_iter().collect()
+    }
+
+    /// Borrowing form of [`Network::describe`], in the same order and
+    /// without collecting: what a streaming snapshot writer walks.
+    pub fn describe_iter(&self) -> impl Iterator<Item = (NodeId, Point, f64, Option<Color>)> + '_ {
+        self.configs.iter().enumerate().filter_map(|(i, cfg)| {
+            let id = NodeId(i as u32);
+            cfg.map(|c| (id, c.pos, c.range, self.assignment.get(id)))
+        })
     }
 }
 

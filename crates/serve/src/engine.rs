@@ -205,6 +205,21 @@ fn check_event(net: &Network, event: &Event) -> Result<(), String> {
     Ok(())
 }
 
+/// Builds the snapshot frame for `net` in `buf`, streaming the document
+/// in place after the header. A state that cannot be framed fails as an
+/// I/O error, so callers treat it as the failed write it stands for.
+fn snapshot_frame(
+    buf: &mut Vec<u8>,
+    net: &Network,
+    strategy: StrategyKind,
+    events_applied: u64,
+    cap: usize,
+) -> io::Result<()> {
+    journal::begin_frame(buf);
+    codec::write_snapshot(buf, net, strategy, events_applied).map_err(io::Error::other)?;
+    journal::seal_frame_within(buf, cap).map_err(io::Error::other)
+}
+
 /// The crash-safe facade over a network + strategy pair. See the
 /// module docs for the full durability contract.
 pub struct Engine {
@@ -215,6 +230,14 @@ pub struct Engine {
     opts: EngineOptions,
     /// Live segment number; appends go to `wal-<seq>`.
     seq: u64,
+    /// `wal_name(seq)`, kept so the event path formats no name.
+    wal: String,
+    /// Reused for every frame this engine writes: events, then each
+    /// snapshot (whose capacity the event path then keeps).
+    frame: Vec<u8>,
+    /// Payload cap for that frame: [`journal::MAX_FRAME`], lowered by
+    /// tests to reach the oversized-snapshot path with a small network.
+    frame_cap: usize,
     events_applied: u64,
     events_since_snapshot: u64,
     appends_since_sync: u64,
@@ -370,6 +393,9 @@ impl Engine {
             strategy_kind,
             opts,
             seq,
+            wal: wal_name(seq),
+            frame: Vec::new(),
+            frame_cap: journal::MAX_FRAME as usize,
             events_applied,
             events_since_snapshot: report.frames_replayed,
             appends_since_sync: 0,
@@ -394,13 +420,19 @@ impl Engine {
         } else {
             Network::new(opts.cell_hint)
         };
-        let doc = codec::encode_snapshot(&net, opts.strategy, 0);
-        let frame = journal::encode_frame(doc.as_bytes());
-        fs.replace(&snap_name(0), &frame)
-            .map_err(|source| EngineError::Io {
-                op: "genesis snapshot",
-                source,
-            })?;
+        let mut frame = Vec::new();
+        snapshot_frame(
+            &mut frame,
+            &net,
+            opts.strategy,
+            0,
+            journal::MAX_FRAME as usize,
+        )
+        .and_then(|()| fs.replace(&snap_name(0), &frame))
+        .map_err(|source| EngineError::Io {
+            op: "genesis snapshot",
+            source,
+        })?;
         Ok(Engine {
             fs,
             net,
@@ -408,6 +440,9 @@ impl Engine {
             strategy_kind: opts.strategy,
             opts,
             seq: 0,
+            wal: wal_name(0),
+            frame,
+            frame_cap: journal::MAX_FRAME as usize,
             events_applied: 0,
             events_since_snapshot: 0,
             appends_since_sync: 0,
@@ -461,10 +496,17 @@ impl Engine {
         self.guard()?;
         check_event(&self.net, event).map_err(|detail| EngineError::InvalidEvent { detail })?;
 
-        let payload = codec::encode_event(event);
-        let frame = journal::encode_frame(payload.as_bytes());
+        // Built in place in the reused buffer. The writer refuses what
+        // the decoder would reject, so no undecodable frame is written.
+        journal::begin_frame(&mut self.frame);
+        codec::write_event(&mut self.frame, event)
+            .map_err(|e| e.to_string())
+            .and_then(|()| journal::seal_frame(&mut self.frame).map_err(|e| e.to_string()))
+            .map_err(|e| EngineError::InvalidEvent {
+                detail: format!("{event:?}: {e}"),
+            })?;
         let t_append = std::time::Instant::now();
-        if let Err(source) = self.fs.append(&wal_name(self.seq), &frame) {
+        if let Err(source) = self.fs.append(&self.wal, &self.frame) {
             // Not applied: the frame may be torn on disk, and recovery
             // will truncate it — memory and disk agree the event never
             // happened.
@@ -480,7 +522,7 @@ impl Engine {
         let mut sync_failure = None;
         if self.opts.sync_every > 0 && self.appends_since_sync >= self.opts.sync_every {
             let t_sync = std::time::Instant::now();
-            match self.fs.sync(&wal_name(self.seq)) {
+            match self.fs.sync(&self.wal) {
                 Ok(()) => {
                     minim_obs::observe_ns!("serve.fsync_ns", t_sync.elapsed().as_nanos() as u64);
                     self.appends_since_sync = 0;
@@ -515,15 +557,23 @@ impl Engine {
     /// Checkpoints the full state into `snap-(seq+1)` and rotates the
     /// journal. On success the previous generation is deleted; on
     /// failure the engine quarantines and the old generation remains
-    /// authoritative.
+    /// authoritative. A state that cannot be framed (a snapshot over
+    /// [`journal::MAX_FRAME`], or a non-finite number) fails the same
+    /// way before any file is touched.
     pub fn snapshot(&mut self) -> Result<(), EngineError> {
         let _span = minim_obs::span!("serve.snapshot");
         let t0 = std::time::Instant::now();
         self.guard()?;
         let next = self.seq + 1;
-        let doc = codec::encode_snapshot(&self.net, self.strategy_kind, self.events_applied);
-        let frame = journal::encode_frame(doc.as_bytes());
-        if let Err(source) = self.fs.replace(&snap_name(next), &frame) {
+        let written = snapshot_frame(
+            &mut self.frame,
+            &self.net,
+            self.strategy_kind,
+            self.events_applied,
+            self.frame_cap,
+        )
+        .and_then(|()| self.fs.replace(&snap_name(next), &self.frame));
+        if let Err(source) = written {
             self.quarantine_now(format!("snapshot write failed: {source}"));
             return Err(EngineError::Io {
                 op: "snapshot",
@@ -533,7 +583,7 @@ impl Engine {
         // The new snapshot is durable; the old generation is now
         // redundant. Removal is best-effort — recovery skips stale
         // files if a crash lands here.
-        let old_wal = wal_name(self.seq);
+        let old_wal = std::mem::replace(&mut self.wal, wal_name(next));
         let old_snap = snap_name(self.seq);
         if self.fs.exists(&old_wal) {
             let _ = self.fs.remove(&old_wal);
@@ -552,7 +602,7 @@ impl Engine {
         if self.appends_since_sync == 0 {
             return Ok(());
         }
-        match self.fs.sync(&wal_name(self.seq)) {
+        match self.fs.sync(&self.wal) {
             Ok(()) => {
                 self.appends_since_sync = 0;
                 Ok(())
@@ -697,6 +747,88 @@ mod tests {
         // Nothing reached the journal.
         let mut probe = fs.clone();
         assert!(!probe.exists(&wal_name(0)));
+    }
+
+    #[test]
+    fn nan_join_through_public_fields_never_reaches_the_journal() {
+        let fs = MemFs::new();
+        let mut eng = Engine::open_with(Box::new(fs.clone()), opts()).unwrap();
+        eng.apply(&join(0.0, 0.0, 5.0)).unwrap();
+        let before = fs.clone().read(&wal_name(0)).unwrap();
+        // `NodeConfig`'s public fields bypass `NodeConfig::new`.
+        let nan_join = Event::Join {
+            cfg: NodeConfig {
+                pos: Point::new(f64::NAN, 2.0),
+                range: 5.0,
+            },
+        };
+        assert!(matches!(
+            codec::write_event(&mut Vec::new(), &nan_join),
+            Err(codec::CodecError::NonFinite { field: "x" })
+        ));
+        let err = eng.apply(&nan_join).unwrap_err();
+        assert!(matches!(err, EngineError::InvalidEvent { .. }), "{err}");
+        assert!(!eng.is_quarantined());
+        assert_eq!(fs.clone().read(&wal_name(0)).unwrap(), before);
+        assert_eq!(eng.events_applied(), 1);
+    }
+
+    /// A snapshot too large to frame fails like a failed rotation: the
+    /// engine quarantines, no new file appears, and the old generation
+    /// still recovers every event.
+    #[test]
+    fn oversized_snapshot_fails_like_a_failed_rotation() {
+        let fs = MemFs::new();
+        let mut eng = Engine::open_with(Box::new(fs.clone()), opts()).unwrap();
+        for i in 0..5 {
+            eng.apply(&join(f64::from(i) * 3.0, 0.0, 5.0)).unwrap();
+        }
+        let digest = eng.net().state_digest();
+        let names = fs.clone().list().unwrap();
+        eng.frame_cap = 256;
+        let err = eng.snapshot().unwrap_err();
+        assert!(
+            matches!(err, EngineError::Io { op: "snapshot", .. }),
+            "{err}"
+        );
+        assert!(eng.quarantine_reason().unwrap().contains("MAX_FRAME"));
+        assert_eq!(eng.segment_seq(), 0);
+        assert_eq!(fs.clone().list().unwrap(), names, "no file touched");
+        assert!(matches!(
+            eng.apply(&join(40.0, 0.0, 5.0)),
+            Err(EngineError::Quarantined { .. })
+        ));
+        drop(eng);
+
+        let eng2 = Engine::open_with(Box::new(fs), opts()).unwrap();
+        assert_eq!(eng2.recovery_report().snapshot_seq, 0);
+        assert_eq!(eng2.recovery_report().events_total, 5);
+        assert_eq!(eng2.net().state_digest(), digest);
+    }
+
+    /// The auto-snapshot inside `apply` takes the same path: the event
+    /// that triggered it stands (it is journaled), and the engine
+    /// quarantines instead of panicking.
+    #[test]
+    fn oversized_auto_snapshot_keeps_the_event_and_quarantines() {
+        let fs = MemFs::new();
+        let auto = EngineOptions {
+            snapshot_every: 4,
+            ..EngineOptions::default()
+        };
+        let mut eng = Engine::open_with(Box::new(fs.clone()), auto).unwrap();
+        eng.frame_cap = 256;
+        for i in 0..4 {
+            eng.apply(&join(f64::from(i) * 3.0, 0.0, 5.0)).unwrap();
+        }
+        assert!(eng.is_quarantined());
+        assert_eq!(eng.events_applied(), 4);
+        let digest = eng.net().state_digest();
+        drop(eng);
+
+        let eng2 = Engine::open_with(Box::new(fs), auto).unwrap();
+        assert_eq!(eng2.recovery_report().events_total, 4);
+        assert_eq!(eng2.net().state_digest(), digest);
     }
 
     #[test]

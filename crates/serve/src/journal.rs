@@ -29,17 +29,77 @@ pub const FRAME_HEADER: usize = 8;
 /// multi-gigabyte allocation during recovery.
 pub const MAX_FRAME: u32 = 16 * 1024 * 1024;
 
-/// Wraps `payload` in a length-prefixed checksummed frame.
+/// A payload too long to frame: it exceeds [`MAX_FRAME`], so [`scan`]
+/// would reject the frame as corrupt.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FrameTooLarge {
+    /// The payload's length in bytes.
+    pub len: usize,
+}
+
+impl std::fmt::Display for FrameTooLarge {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "frame payload of {} bytes exceeds MAX_FRAME ({MAX_FRAME} bytes)",
+            self.len
+        )
+    }
+}
+
+impl std::error::Error for FrameTooLarge {}
+
+/// Starts a frame in `buf`: clears it and reserves the header. Append
+/// the payload to `buf`, then call [`seal_frame`]. Building in place
+/// this way never copies the payload.
+pub fn begin_frame(buf: &mut Vec<u8>) {
+    buf.clear();
+    buf.extend_from_slice(&[0; FRAME_HEADER]);
+}
+
+/// Finishes the frame [`begin_frame`] started in `buf`: writes the
+/// payload's length and CRC into the reserved header. A payload over
+/// [`MAX_FRAME`] is an error and leaves the header zeroed.
+///
+/// # Panics
+///
+/// If `buf` is shorter than the header, i.e. [`begin_frame`] was not
+/// called on it.
+pub fn seal_frame(buf: &mut [u8]) -> Result<(), FrameTooLarge> {
+    seal_frame_within(buf, MAX_FRAME as usize)
+}
+
+/// [`seal_frame`] with a payload cap at or below [`MAX_FRAME`]; the
+/// engine's tests lower it to reach the oversized-snapshot path with a
+/// small network.
+pub(crate) fn seal_frame_within(buf: &mut [u8], cap: usize) -> Result<(), FrameTooLarge> {
+    let (header, payload) = buf
+        .split_first_chunk_mut::<FRAME_HEADER>()
+        .expect("seal_frame needs the header begin_frame reserved");
+    if payload.len() > cap.min(MAX_FRAME as usize) {
+        return Err(FrameTooLarge { len: payload.len() });
+    }
+    // In range for u32: bounded by MAX_FRAME just above.
+    header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
+    Ok(())
+}
+
+/// Wraps `payload` in a length-prefixed checksummed frame, copying it.
+/// The engine builds its frames in place with [`begin_frame`] and
+/// [`seal_frame`]; this form serves tools and tests.
+///
+/// # Panics
+///
+/// If `payload` exceeds [`MAX_FRAME`]; [`seal_frame`] returns that as
+/// an error instead.
 pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
-    assert!(
-        payload.len() <= MAX_FRAME as usize,
-        "frame payload {} exceeds MAX_FRAME",
-        payload.len()
-    );
     let mut out = Vec::with_capacity(FRAME_HEADER + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
+    begin_frame(&mut out);
     out.extend_from_slice(payload);
+    if let Err(e) = seal_frame(&mut out) {
+        panic!("{e}");
+    }
     out
 }
 
@@ -207,6 +267,38 @@ mod tests {
             assert_eq!(s.valid_len, expect_valid, "flip at {byte}");
             assert!(s.is_damaged(), "flip at {byte}");
         }
+    }
+
+    #[test]
+    fn in_place_frames_match_encode_frame() {
+        let mut buf = vec![0xAA; 3]; // stale bytes from an earlier frame
+        for payload in [&b""[..], b"x", b"{\"t\":\"leave\",\"node\":7.0}"] {
+            begin_frame(&mut buf);
+            buf.extend_from_slice(payload);
+            seal_frame(&mut buf).unwrap();
+            assert_eq!(buf, encode_frame(payload));
+        }
+    }
+
+    #[test]
+    fn oversized_payload_is_an_error_not_a_panic() {
+        let mut buf = Vec::new();
+        begin_frame(&mut buf);
+        buf.resize(FRAME_HEADER + MAX_FRAME as usize + 1, b' ');
+        assert_eq!(
+            seal_frame(&mut buf),
+            Err(FrameTooLarge {
+                len: MAX_FRAME as usize + 1
+            })
+        );
+        assert_eq!(buf[..FRAME_HEADER], [0; FRAME_HEADER], "header untouched");
+        // Exactly MAX_FRAME still frames, and scans back whole.
+        buf.truncate(FRAME_HEADER + MAX_FRAME as usize);
+        seal_frame(&mut buf).unwrap();
+        let s = scan(&buf);
+        assert_eq!(s.end, ScanEnd::Clean);
+        assert_eq!(s.frames.len(), 1);
+        assert_eq!(s.frames[0].len(), MAX_FRAME as usize);
     }
 
     #[test]

@@ -10,14 +10,17 @@
 //!
 //! The pieces, bottom-up:
 //!
-//! * [`crc`] — compile-time-tabled CRC-32 guarding every stored byte.
+//! * [`crc`] — compile-time-tabled, slicing-by-8 CRC-32 guarding
+//!   every stored byte.
 //! * [`fs`] — the [`FaultFs`] boundary: [`DiskFs`] for production,
 //!   [`MemFs`] with scripted faults (torn writes, fsync failures,
 //!   bit rot, full crashes) for the recovery test harness.
-//! * [`journal`] — length-prefixed checksummed frames and the
-//!   truncate-at-first-bad-frame recovery scanner.
+//! * [`journal`] — length-prefixed checksummed frames, built in place
+//!   in a reused buffer, and the truncate-at-first-bad-frame recovery
+//!   scanner.
 //! * [`codec`] — events and whole-network snapshots as deterministic
-//!   JSON (shortest-roundtrip floats, stable key order).
+//!   JSON (shortest-roundtrip floats, stable key order), streamed
+//!   straight into the frame buffer.
 //! * [`engine`] — the [`Engine`] facade: journal-then-apply, batched
 //!   fsync, auto-snapshot + segment rotation, and read-only
 //!   quarantine after write failures.

@@ -100,95 +100,139 @@ impl Json {
 
     /// Renders compact JSON (no whitespace).
     pub fn to_string_compact(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, None, 0);
-        out
+        self.render(None)
     }
 
     /// Renders pretty-printed JSON with two-space indentation.
     pub fn to_string_pretty(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, Some(2), 0);
-        out
+        self.render(Some(2))
     }
 
-    fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
-        let (nl, pad, pad_in) = match indent {
-            Some(w) => ("\n", " ".repeat(w * depth), " ".repeat(w * (depth + 1))),
-            None => ("", String::new(), String::new()),
-        };
+    fn render(&self, indent: Option<usize>) -> String {
+        let mut out = Vec::new();
+        self.write(&mut out, indent, 0);
+        String::from_utf8(out).expect("the writer emits whole UTF-8 scalars")
+    }
+
+    fn write(&self, out: &mut Vec<u8>, indent: Option<usize>, depth: usize) {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Null => out.extend_from_slice(b"null"),
+            Json::Bool(b) => out.extend_from_slice(if *b { b"true" } else { b"false" }),
             Json::Num(n) => {
-                if n.is_finite() {
-                    // Rust's Debug for f64 is shortest-roundtrip and is
-                    // valid JSON for finite values.
-                    out.push_str(&format!("{n:?}"));
-                } else {
-                    out.push_str("null"); // JSON has no NaN/Infinity
+                if !write_num(out, *n) {
+                    out.extend_from_slice(b"null"); // JSON has no NaN/Infinity
                 }
             }
-            Json::Str(s) => write_escaped(out, s),
+            Json::Str(s) => write_str(out, s),
             Json::Arr(items) => {
                 if items.is_empty() {
-                    out.push_str("[]");
+                    out.extend_from_slice(b"[]");
                     return;
                 }
-                out.push('[');
+                out.push(b'[');
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.push(b',');
                     }
-                    out.push_str(nl);
-                    out.push_str(&pad_in);
+                    newline(out, indent, depth + 1);
                     item.write(out, indent, depth + 1);
                 }
-                out.push_str(nl);
-                out.push_str(&pad);
-                out.push(']');
+                newline(out, indent, depth);
+                out.push(b']');
             }
             Json::Obj(pairs) => {
                 if pairs.is_empty() {
-                    out.push_str("{}");
+                    out.extend_from_slice(b"{}");
                     return;
                 }
-                out.push('{');
+                out.push(b'{');
                 for (i, (k, v)) in pairs.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.push(b',');
                     }
-                    out.push_str(nl);
-                    out.push_str(&pad_in);
-                    write_escaped(out, k);
-                    out.push(':');
+                    newline(out, indent, depth + 1);
+                    write_str(out, k);
+                    out.push(b':');
                     if indent.is_some() {
-                        out.push(' ');
+                        out.push(b' ');
                     }
                     v.write(out, indent, depth + 1);
                 }
-                out.push_str(nl);
-                out.push_str(&pad);
-                out.push('}');
+                newline(out, indent, depth);
+                out.push(b'}');
             }
         }
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// Pretty layout only: a line break, then `width * depth` spaces.
+fn newline(out: &mut Vec<u8>, indent: Option<usize>, depth: usize) {
+    if let Some(width) = indent {
+        out.push(b'\n');
+        out.resize(out.len() + width * depth, b' ');
+    }
+}
+
+/// Appends the JSON bytes of `n` and returns `true`, or appends nothing
+/// and returns `false` when `n` is not finite (JSON has no NaN or
+/// Infinity; each caller decides what that means).
+///
+/// This is the one definition of number bytes for every writer in the
+/// workspace: Rust's shortest round-trip `{:?}` rendering, so a value
+/// survives write → [`parse`] bit-identically. Integral values below
+/// 10^16, where `{:?}` prints every digit then `.0`, take a digit loop
+/// instead of the formatter; the bytes are the same.
+pub fn write_num(out: &mut Vec<u8>, n: f64) -> bool {
+    if !n.is_finite() {
+        return false;
+    }
+    if n.fract() == 0.0 && n.abs() < 1e16 {
+        if n.is_sign_negative() {
+            out.push(b'-');
+        }
+        let mut digits = [0u8; 20];
+        let mut at = digits.len();
+        let mut v = n.abs() as u64;
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (v % 10) as u8;
+            v /= 10;
+            if v == 0 {
+                break;
+            }
+        }
+        out.extend_from_slice(&digits[at..]);
+        out.extend_from_slice(b".0");
+    } else {
+        use std::io::Write as _;
+        write!(out, "{n:?}").expect("writing to a Vec cannot fail");
+    }
+    true
+}
+
+/// Appends `s` as a JSON string literal: quoted, with `"`, `\` and
+/// control characters escaped.
+pub fn write_str(out: &mut Vec<u8>, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.push(b'"');
+    for &b in s.as_bytes() {
+        match b {
+            b'"' => out.extend_from_slice(b"\\\""),
+            b'\\' => out.extend_from_slice(b"\\\\"),
+            b'\n' => out.extend_from_slice(b"\\n"),
+            b'\r' => out.extend_from_slice(b"\\r"),
+            b'\t' => out.extend_from_slice(b"\\t"),
+            b if b < 0x20 => {
+                out.extend_from_slice(b"\\u00");
+                out.push(HEX[usize::from(b >> 4)]);
+                out.push(HEX[usize::from(b & 0xF)]);
+            }
+            // Multi-byte UTF-8 sequences pass through byte by byte:
+            // every byte of one is >= 0x80.
+            b => out.push(b),
         }
     }
-    out.push('"');
+    out.push(b'"');
 }
 
 /// What class of failure a [`ParseError`] is. Callers that need to
@@ -631,6 +675,67 @@ mod tests {
     fn non_finite_numbers_render_as_null() {
         assert_eq!(Json::Num(f64::NAN).to_string_compact(), "null");
         assert_eq!(Json::Num(f64::INFINITY).to_string_compact(), "null");
+    }
+
+    /// `write_num`'s digit loop must agree with `{:?}` byte for byte,
+    /// on both sides of every threshold it relies on.
+    #[test]
+    fn write_num_matches_debug_formatting() {
+        let mut samples = vec![
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            0.5,
+            1e-4,
+            9.9e-5,
+            1e15,
+            1e16,
+            -1e16,
+            1e16 - 2.0,
+            9_007_199_254_740_993.0,
+            f64::from(u32::MAX),
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            5e-324,
+            46.666666666666664,
+        ];
+        let mut p = 1.0f64;
+        for _ in 0..40 {
+            samples.extend([p, p - 1.0, p + 1.0, -p, p / 7.0]);
+            p *= 10.0;
+        }
+        // Arbitrary bit patterns cover the fractional and exponent forms.
+        let mut bits = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..20_000 {
+            bits = bits.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            samples.push(f64::from_bits(bits));
+            samples.push((bits >> 11) as f64);
+            samples.push((bits >> 40) as f64 * 0.25);
+        }
+        let mut out = Vec::new();
+        for n in samples {
+            out.clear();
+            if write_num(&mut out, n) {
+                assert_eq!(std::str::from_utf8(&out).unwrap(), format!("{n:?}"));
+            } else {
+                assert!(!n.is_finite() && out.is_empty(), "{n:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn write_str_escapes_quotes_backslashes_and_controls() {
+        let mut out = Vec::new();
+        write_str(&mut out, "a\"b\\c\n\r\t\u{1}\u{1f}\u{7f}é");
+        assert_eq!(
+            std::str::from_utf8(&out).unwrap(),
+            "\"a\\\"b\\\\c\\n\\r\\t\\u0001\\u001f\u{7f}é\""
+        );
+        assert_eq!(
+            parse(std::str::from_utf8(&out).unwrap()).unwrap(),
+            Json::Str("a\"b\\c\n\r\t\u{1}\u{1f}\u{7f}é".into())
+        );
     }
 
     #[test]

@@ -18,10 +18,13 @@
 //! PR 10 threads `minim-obs` instrumentation through all of these
 //! paths. The registry records by default, so every phase below pins
 //! its zero with metrics **live** — counters, gauges, histograms, and
-//! span rings must recycle like everything else. The final phase adds
-//! the serve journal: its encode path allocates by design, so its pin
-//! is differential — an identical workload costs exactly the same
-//! allocation count with observability recording as with it disabled.
+//! span rings must recycle like everything else. Phase 5 adds the serve
+//! journal: the engine's apply path allocates by design (file growth,
+//! snapshot rotation), so its pin is differential — an identical
+//! workload costs exactly the same allocation count with observability
+//! recording as with it disabled. Phase 6 pins the part of that path
+//! that must not allocate: encoding an event and framing it in place
+//! into a warm, reused buffer.
 //!
 //! The check uses a counting global allocator (this integration test
 //! is its own binary, so the allocator sees only this file's tests;
@@ -33,7 +36,7 @@ use minim_graph::NodeId;
 use minim_net::event::Event;
 use minim_net::{Network, NodeConfig, ShardMap, SliceRoute};
 use minim_power::{PowerLoopConfig, PowerSession};
-use minim_serve::{Engine, EngineOptions, MemFs};
+use minim_serve::{codec, journal, Engine, EngineOptions, MemFs};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -319,5 +322,49 @@ fn steady_state_rewire_allocates_nothing() {
         instrumented, silent,
         "observability must add zero allocations to journal cycles \
          (recording: {instrumented}, disabled: {silent})"
+    );
+
+    // --- Phase 6: event encode + in-place framing. ---
+    // The engine writes each event's frame into one reused buffer:
+    // reserve the header, stream the compact document after it, patch
+    // in length and CRC. Once the buffer has grown to the largest
+    // event, every kind of event — integral ids, fractional and
+    // exponent-form floats — must encode and frame without allocating.
+    let events = [
+        Event::Join {
+            cfg: NodeConfig::new(Point::new(0.1 + 0.2, -1e-7), 2.5e17),
+        },
+        Event::Leave { node: NodeId(7) },
+        Event::Move {
+            node: NodeId(u32::MAX),
+            to: Point::new(-0.0, 46.666666666666664),
+        },
+        Event::SetRange {
+            node: NodeId(3),
+            range: 6.5,
+        },
+    ];
+    let mut frame = Vec::new();
+    let encode_cycle = |frame: &mut Vec<u8>| {
+        for event in &events {
+            journal::begin_frame(frame);
+            codec::write_event(frame, event).expect("finite event");
+            journal::seal_frame(frame).expect("small frame");
+        }
+    };
+    encode_cycle(&mut frame);
+
+    let before = ALLOCS.load(Ordering::SeqCst);
+    for _ in 0..25 {
+        encode_cycle(&mut frame);
+    }
+    let after = ALLOCS.load(Ordering::SeqCst);
+
+    assert_eq!(
+        after - before,
+        0,
+        "warm event encode + in-place framing must be allocation-free, \
+         saw {} allocations over 25 cycles",
+        after - before
     );
 }
