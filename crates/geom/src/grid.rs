@@ -16,14 +16,18 @@
 //! slab indexed by id). Updates are incremental: `insert`, `remove`,
 //! and `relocate` all run in `O(1)` expected.
 //!
-//! Storage is dense on both axes: the reverse map is a `Vec` slab
-//! (id → entry), and cells live in a dense, growable window of the
-//! integer cell plane (plus a sparse overflow map for pathological
-//! far-out coordinates), so the hot query path walks contiguous memory
-//! instead of hashing.
+//! Storage is sized by occupancy, not by arena area. The reverse map
+//! is a `Vec` slab (id → entry), and the cell table holds one
+//! occupancy list for each cell that has ever held an entry, found
+//! through a cheap hash of the packed cell coordinate. A clustered
+//! deployment over a huge arena pays for its clusters only, and
+//! far-out coordinates need no special case. Queries visit the cells
+//! of their rectangle in row-major order, so every instance built by
+//! the same calls reports the same sequence.
 
 use crate::Point;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Cell coordinates are clamped into this symmetric window. The clamp
 /// makes the `f64 → i32` conversion explicit and total: a coordinate at
@@ -61,136 +65,116 @@ pub fn cell_cover(center: f64, radius: f64, cell_size: f64) -> std::ops::RangeIn
     cell_coord(center - radius, cell_size)..=cell_coord(center + radius, cell_size)
 }
 
-/// Largest per-axis span (in cells) the dense window may grow to;
-/// cells outside go to the sparse overflow map. 4096² cells × a
-/// `Vec` each ≈ 400 MB worst case is never reached in practice —
-/// the window only covers the bounding box of *observed* points, and
-/// real arenas are a few dozen cells across.
-const MAX_DENSE_SPAN: i64 = 4096;
+/// Packs a cell into a `u64` whose unsigned order is row-major cell
+/// order: `y` in the high half, `x` in the low half, each with its
+/// sign bit flipped so negative coordinates sort first.
+#[inline]
+fn cell_key(x: i32, y: i32) -> u64 {
+    (((y as u32) ^ 0x8000_0000) as u64) << 32 | ((x as u32) ^ 0x8000_0000) as u64
+}
 
-/// The dense, growable cell window plus sparse overflow.
+/// The `x` coordinate of a [`cell_key`].
+#[inline]
+fn key_x(key: u64) -> i32 {
+    ((key as u32) ^ 0x8000_0000) as i32
+}
+
+/// One multiply per [`cell_key`], folded so the low (bucket) bits
+/// depend on both coordinates.
+#[derive(Default)]
+struct CellHasher(u64);
+
+impl Hasher for CellHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        let h = self.0.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        h ^ (h >> 32)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ b as u64;
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, key: u64) {
+        self.0 = key;
+    }
+}
+
+/// The occupied cells: one occupancy list per cell that has ever held
+/// an entry. Emptied lists stay, so re-entering a cell never
+/// allocates.
 #[derive(Debug, Clone, Default)]
 struct CellTable {
-    /// Cell coordinate of `cells[0]`.
-    origin: (i32, i32),
-    /// Window extent in cells (0 ⇒ empty, no window yet).
-    width: i32,
-    height: i32,
-    /// Row-major `width × height` occupancy lists.
-    cells: Vec<Vec<u32>>,
-    /// Cells outside the dense window (far-out coordinates only).
-    overflow: HashMap<(i32, i32), Vec<u32>>,
+    /// `cell_key` → the ids in that cell, in `push`/`swap_remove` order.
+    cells: HashMap<u64, Vec<u32>, BuildHasherDefault<CellHasher>>,
+    /// The keys of `cells` in row-major order, for queries whose
+    /// rectangle has more cells than the table.
+    order: BTreeSet<u64>,
+    /// Bounding box `(min_x, min_y, max_x, max_y)` of `cells`; it
+    /// only grows.
+    bounds: Option<(i32, i32, i32, i32)>,
 }
 
 impl CellTable {
-    #[inline]
-    fn dense_index(&self, c: (i32, i32)) -> Option<usize> {
-        let dx = c.0.wrapping_sub(self.origin.0);
-        let dy = c.1.wrapping_sub(self.origin.1);
-        if dx >= 0 && dx < self.width && dy >= 0 && dy < self.height {
-            Some(dy as usize * self.width as usize + dx as usize)
-        } else {
-            None
+    fn push(&mut self, (x, y): (i32, i32), id: u32) {
+        let key = cell_key(x, y);
+        if let Some(ids) = self.cells.get_mut(&key) {
+            ids.push(id);
+            return;
+        }
+        self.cells.insert(key, vec![id]);
+        self.order.insert(key);
+        self.bounds = Some(match self.bounds {
+            None => (x, y, x, y),
+            Some((x0, y0, x1, y1)) => (x0.min(x), y0.min(y), x1.max(x), y1.max(y)),
+        });
+    }
+
+    fn remove(&mut self, (x, y): (i32, i32), id: u32) {
+        if let Some(ids) = self.cells.get_mut(&cell_key(x, y)) {
+            if let Some(p) = ids.iter().position(|&v| v == id) {
+                ids.swap_remove(p);
+            }
         }
     }
 
-    /// Grows the dense window to cover `c` (with margin), moving
-    /// existing rows; falls back to overflow when the union span would
-    /// exceed [`MAX_DENSE_SPAN`].
-    fn grow_to(&mut self, c: (i32, i32)) -> Option<usize> {
-        let (min_x, max_x, min_y, max_y) = if self.width == 0 {
-            (c.0, c.0, c.1, c.1)
-        } else {
-            (
-                self.origin.0.min(c.0),
-                (self.origin.0 + self.width - 1).max(c.0),
-                self.origin.1.min(c.1),
-                (self.origin.1 + self.height - 1).max(c.1),
-            )
+    /// Whether the inclusive cell rectangle `lo..=hi` holds every
+    /// table cell.
+    fn covered_by(&self, lo: (i32, i32), hi: (i32, i32)) -> bool {
+        self.bounds
+            .is_none_or(|(x0, y0, x1, y1)| lo.0 <= x0 && lo.1 <= y0 && hi.0 >= x1 && hi.1 >= y1)
+    }
+
+    /// Calls `f` on the occupancy list of every table cell inside the
+    /// inclusive cell rectangle `lo..=hi`, in row-major order. The
+    /// rectangle is first clipped to the bounding box; if it still has
+    /// more cells than the table, the ordered key set is walked
+    /// instead, so a clamped far-out query costs O(table), not
+    /// O(area).
+    fn for_each_cell(&self, lo: (i32, i32), hi: (i32, i32), mut f: impl FnMut(&[u32])) {
+        let Some((x0, y0, x1, y1)) = self.bounds else {
+            return;
         };
-        let span_x = max_x as i64 - min_x as i64 + 1;
-        let span_y = max_y as i64 - min_y as i64 + 1;
-        if span_x > MAX_DENSE_SPAN || span_y > MAX_DENSE_SPAN {
-            return None;
+        let (x0, y0, x1, y1) = (lo.0.max(x0), lo.1.max(y0), hi.0.min(x1), hi.1.min(y1));
+        if x0 > x1 || y0 > y1 {
+            return;
         }
-        // Pad by a quarter span (min 2 cells) so steady drift does not
-        // re-grow every step — but never let the pad push the window
-        // past MAX_DENSE_SPAN: the final window must always cover
-        // [min, max] exactly, or the relocation below would write old
-        // cells outside the new table.
-        let pad_x = (span_x / 4).max(2).min((MAX_DENSE_SPAN - span_x) / 2) as i32;
-        let pad_y = (span_y / 4).max(2).min((MAX_DENSE_SPAN - span_y) / 2) as i32;
-        let new_min_x = min_x.saturating_sub(pad_x).max(-CELL_COORD_LIMIT);
-        let new_min_y = min_y.saturating_sub(pad_y).max(-CELL_COORD_LIMIT);
-        let new_max_x = max_x.saturating_add(pad_x).min(CELL_COORD_LIMIT);
-        let new_max_y = max_y.saturating_add(pad_y).min(CELL_COORD_LIMIT);
-        let new_w = (new_max_x as i64 - new_min_x as i64 + 1) as i32;
-        let new_h = (new_max_y as i64 - new_min_y as i64 + 1) as i32;
-        debug_assert!(
-            new_min_x <= min_x
-                && new_min_y <= min_y
-                && new_max_x >= max_x
-                && new_max_y >= max_y
-                && (new_w as i64) <= MAX_DENSE_SPAN
-                && (new_h as i64) <= MAX_DENSE_SPAN,
-            "grown window must cover the union span within the cap"
-        );
-        let mut new_cells: Vec<Vec<u32>> = Vec::new();
-        new_cells.resize_with(new_w as usize * new_h as usize, Vec::new);
-        for y in 0..self.height {
-            for x in 0..self.width {
-                let old =
-                    std::mem::take(&mut self.cells[y as usize * self.width as usize + x as usize]);
-                if old.is_empty() {
-                    continue;
-                }
-                let nx = (self.origin.0 + x - new_min_x) as usize;
-                let ny = (self.origin.1 + y - new_min_y) as usize;
-                new_cells[ny * new_w as usize + nx] = old;
-            }
-        }
-        self.origin = (new_min_x, new_min_y);
-        self.width = new_w;
-        self.height = new_h;
-        self.cells = new_cells;
-        // Overflow cells that now fall inside the window move in.
-        let inside: Vec<(i32, i32)> = self
-            .overflow
-            .keys()
-            .copied()
-            .filter(|&k| self.dense_index(k).is_some())
-            .collect();
-        for k in inside {
-            let v = self.overflow.remove(&k).expect("key just listed");
-            let i = self.dense_index(k).expect("key checked inside");
-            self.cells[i] = v;
-        }
-        self.dense_index(c)
-    }
-
-    fn push(&mut self, c: (i32, i32), id: u32) {
-        match self.dense_index(c).or_else(|| self.grow_to(c)) {
-            Some(i) => self.cells[i].push(id),
-            None => self.overflow.entry(c).or_default().push(id),
-        }
-    }
-
-    fn remove(&mut self, c: (i32, i32), id: u32) {
-        match self.dense_index(c) {
-            Some(i) => {
-                let v = &mut self.cells[i];
-                if let Some(p) = v.iter().position(|&x| x == id) {
-                    v.swap_remove(p);
+        let area = (x1 as i64 - x0 as i64 + 1) as u64 * (y1 as i64 - y0 as i64 + 1) as u64;
+        if area <= self.cells.len() as u64 {
+            for y in y0..=y1 {
+                for x in x0..=x1 {
+                    if let Some(ids) = self.cells.get(&cell_key(x, y)) {
+                        f(ids);
+                    }
                 }
             }
-            None => {
-                if let Some(v) = self.overflow.get_mut(&c) {
-                    if let Some(p) = v.iter().position(|&x| x == id) {
-                        v.swap_remove(p);
-                    }
-                    if v.is_empty() {
-                        self.overflow.remove(&c);
-                    }
+        } else {
+            for key in self.order.range(cell_key(x0, y0)..=cell_key(x1, y1)) {
+                if (x0..=x1).contains(&key_x(*key)) {
+                    f(&self.cells[key]);
                 }
             }
         }
@@ -306,7 +290,10 @@ impl SpatialGrid {
     }
 
     /// Calls `f(id, pos)` for every entry within distance `radius` of
-    /// `center` (boundary inclusive), in unspecified order.
+    /// `center` (boundary inclusive). Cells are visited in row-major
+    /// order (ascending `y`, then `x`), and each cell reports its ids
+    /// in the order its `push`es and `swap_remove`s left them, so two
+    /// grids built by the same calls report the same sequence.
     ///
     /// The center entry itself is reported too if it is indexed and in
     /// range; callers that want "other nodes" filter by id.
@@ -315,42 +302,25 @@ impl SpatialGrid {
             return;
         }
         let r2 = radius * radius;
-        let min_cx = cell_coord(center.x - radius, self.cell);
-        let max_cx = cell_coord(center.x + radius, self.cell);
-        let min_cy = cell_coord(center.y - radius, self.cell);
-        let max_cy = cell_coord(center.y + radius, self.cell);
-        let report = |ids: &[u32], f: &mut F| {
+        let (lo, hi) = self.cell_square(center, radius);
+        self.table.for_each_cell(lo, hi, |ids| {
             for &id in ids {
                 let p = self.entries[id as usize].expect("listed id is present").0;
                 if p.dist2(center) <= r2 {
                     f(id, p);
                 }
             }
-        };
-        // Dense window: intersect the query range with the window so a
-        // clamped far-out range cannot walk billions of cells.
-        let t = &self.table;
-        if t.width > 0 {
-            let lo_x = min_cx.max(t.origin.0);
-            let hi_x = max_cx.min(t.origin.0 + t.width - 1);
-            let lo_y = min_cy.max(t.origin.1);
-            let hi_y = max_cy.min(t.origin.1 + t.height - 1);
-            for cy in lo_y..=hi_y {
-                if lo_x > hi_x {
-                    break;
-                }
-                let row = (cy - t.origin.1) as usize * t.width as usize;
-                for cx in lo_x..=hi_x {
-                    report(&t.cells[row + (cx - t.origin.0) as usize], &mut f);
-                }
-            }
-        }
-        // Overflow cells are few; scan them by membership, not range.
-        for (&(cx, cy), ids) in &t.overflow {
-            if (min_cx..=max_cx).contains(&cx) && (min_cy..=max_cy).contains(&cy) {
-                report(ids, &mut f);
-            }
-        }
+        });
+    }
+
+    /// The inclusive cell rectangle covering the square of half-side
+    /// `radius` around `center`.
+    #[inline]
+    fn cell_square(&self, center: &Point, radius: f64) -> ((i32, i32), (i32, i32)) {
+        (
+            self.cell_of(&Point::new(center.x - radius, center.y - radius)),
+            self.cell_of(&Point::new(center.x + radius, center.y + radius)),
+        )
     }
 
     /// Collects the ids within `radius` of `center` (boundary
@@ -370,7 +340,10 @@ impl SpatialGrid {
     /// Runs an expanding-radius search (doubling from one cell side):
     /// [`SpatialGrid::for_each_within`] is exact, so the first radius
     /// that reports any admissible entry already contains the global
-    /// optimum — everything outside is strictly farther. Expected
+    /// optimum — everything outside is strictly farther. Once the
+    /// query square covers every occupied cell, one exact pass over
+    /// all entries finishes the search, since an admissible entry may
+    /// still sit in a corner of the square outside the disc. Expected
     /// O(1) per query when the nearest admissible entry is within a
     /// few cells; degrades to a full scan only when the grid is nearly
     /// empty of admissible points.
@@ -379,50 +352,32 @@ impl SpatialGrid {
         center: &Point,
         mut admissible: F,
     ) -> Option<(u32, Point)> {
-        if self.len == 0 {
-            return None;
-        }
+        let mut best: Option<(u32, Point, f64)> = None;
+        let mut consider = |best: &mut Option<(u32, Point, f64)>, id: u32, p: Point| {
+            if !admissible(id, &p) {
+                return;
+            }
+            let d2 = p.dist2(center);
+            if best.is_none_or(|(bid, _, bd2)| d2 < bd2 || (d2 == bd2 && id < bid)) {
+                *best = Some((id, p, d2));
+            }
+        };
         let mut radius = self.cell;
         loop {
-            let mut best: Option<(u32, Point, f64)> = None;
-            self.for_each_within(center, radius, |id, p| {
-                if !admissible(id, &p) {
-                    return;
-                }
-                let d2 = p.dist2(center);
-                let better = match best {
-                    None => true,
-                    Some((bid, _, bd2)) => d2 < bd2 || (d2 == bd2 && id < bid),
-                };
-                if better {
-                    best = Some((id, p, d2));
-                }
-            });
-            if let Some((id, p, _)) = best {
+            let (lo, hi) = self.cell_square(center, radius);
+            if self.table.covered_by(lo, hi) || !radius.is_finite() {
+                self.iter().for_each(|(id, p)| consider(&mut best, id, p));
+                break;
+            }
+            self.for_each_within(center, radius, |id, p| consider(&mut best, id, p));
+            if best.is_some() {
                 // Reported ⇒ within `radius`; anything unscanned is
                 // farther than `radius`, so this is the global best.
-                return Some((id, p));
-            }
-            // Nothing admissible yet: stop once the query range has
-            // covered every cell that holds an entry.
-            let min_cx = cell_coord(center.x - radius, self.cell);
-            let max_cx = cell_coord(center.x + radius, self.cell);
-            let min_cy = cell_coord(center.y - radius, self.cell);
-            let max_cy = cell_coord(center.y + radius, self.cell);
-            let t = &self.table;
-            let covers_window = t.width == 0
-                || (min_cx <= t.origin.0
-                    && max_cx >= t.origin.0 + t.width - 1
-                    && min_cy <= t.origin.1
-                    && max_cy >= t.origin.1 + t.height - 1);
-            let covers_overflow = t.overflow.keys().all(|&(cx, cy)| {
-                (min_cx..=max_cx).contains(&cx) && (min_cy..=max_cy).contains(&cy)
-            });
-            if covers_window && covers_overflow {
-                return None;
+                break;
             }
             radius *= 2.0;
         }
+        best.map(|(id, p, _)| (id, p))
     }
 
     /// Iterates over all `(id, position)` entries in ascending id order.
@@ -527,7 +482,7 @@ mod tests {
     /// Regression: coordinates far beyond any sane arena used to
     /// saturate the `f64 → i32` cell cast, and a query near them would
     /// then try to walk the whole i32 cell range. The centralized
-    /// clamped conversion plus window-clipped queries must keep both
+    /// clamped conversion plus occupancy-clipped queries must keep both
     /// insertion and queries exact and fast.
     #[test]
     fn far_out_coordinates_are_clamped_not_lost() {
@@ -544,25 +499,26 @@ mod tests {
         assert_eq!(g.within(&Point::new(-1e300, 7.0), 1.0), vec![3]);
         // A clamped full-plane query still terminates and sees all.
         assert_eq!(g.within(&Point::new(0.0, 0.0), 1e305), vec![1, 2, 3]);
-        // Far entries relocate back into the normal window.
+        // Far entries relocate back next to the near ones.
         assert!(g.relocate(2, Point::new(3.0, 3.0)));
         assert_eq!(g.within(&Point::new(0.0, 0.0), 10.0), vec![1, 2]);
         assert_eq!(g.remove(3), Some(Point::new(-1e300, 7.0)));
         assert_eq!(g.len(), 2);
     }
 
-    /// Regression: growing the window close to `MAX_DENSE_SPAN` used
-    /// to truncate the padded width while still relocating old cells
-    /// by untruncated offsets, silently dropping entries near the
-    /// window edge.
+    /// Regression: an earlier dense cell window, grown close to its
+    /// 4096-cell cap, truncated its padded width while still
+    /// relocating old cells by untruncated offsets, silently dropping
+    /// entries near the window edge. Entries thousands of cells apart
+    /// must all stay findable.
     #[test]
     fn near_cap_window_growth_keeps_edge_entries() {
         let mut g = SpatialGrid::new(1.0);
         g.insert(0, Point::new(0.5, 0.5));
         g.insert(1, Point::new(2600.5, 0.5));
         g.insert(2, Point::new(3250.5, 0.5));
-        // This grow pushes the padded span past the cap; the window
-        // must shrink its *pad*, not the required range.
+        // Under the old window this grow pushed the padded span past
+        // the cap.
         g.insert(3, Point::new(3300.5, 0.5));
         for (id, x) in [(0u32, 0.5), (1, 2600.5), (2, 3250.5), (3, 3300.5)] {
             assert_eq!(
@@ -577,7 +533,8 @@ mod tests {
     #[test]
     fn window_growth_preserves_entries() {
         let mut g = SpatialGrid::new(1.0);
-        // Force repeated window growth by walking outward.
+        // Walk outward in both directions, so the bounding box of
+        // occupied cells grows on every insert.
         for i in 0..200u32 {
             let x = (i as f64) * 7.0 * if i % 2 == 0 { 1.0 } else { -1.0 };
             g.insert(i, Point::new(x, -x));
@@ -624,6 +581,85 @@ mod tests {
                 .map(|(id, _)| id),
             Some(4)
         );
+    }
+
+    /// Regression: the search used to give up with `None` as soon as
+    /// its query square covered every occupied cell, although an
+    /// admissible entry could still sit in a corner of that square,
+    /// outside the disc it had scanned.
+    #[test]
+    fn nearest_where_finds_entries_outside_the_covering_disc() {
+        let mut g = SpatialGrid::new(1.0);
+        g.insert(1, Point::new(0.5, 0.5));
+        g.insert(2, Point::new(100.5, 100.5));
+        assert_eq!(
+            g.nearest_where(&Point::new(0.5, 0.5), |id, _| id != 1),
+            Some((2, Point::new(100.5, 100.5)))
+        );
+        // The same holds for clamped far-out cells.
+        g.insert(3, Point::new(-1e300, 1e300));
+        assert_eq!(
+            g.nearest_where(&Point::new(0.5, 0.5), |id, _| id == 3),
+            Some((3, Point::new(-1e300, 1e300)))
+        );
+    }
+
+    /// The table holds one list per distinct cell that has held an
+    /// entry, however far apart those cells are; emptied cells keep
+    /// their list, so re-entering them adds nothing.
+    #[test]
+    fn table_holds_only_occupied_cells() {
+        let mut g = SpatialGrid::new(1.0);
+        let mut id = 0u32;
+        for k in -3..=3i32 {
+            for dy in [0.0, 0.25] {
+                g.insert(id, Point::new(k as f64 * 1e6 + 0.5, dy + 0.5));
+                id += 1;
+            }
+        }
+        g.insert(id, Point::new(0.5, 1e6 + 0.5));
+        assert_eq!(g.table.cells.len(), 8);
+        assert_eq!(g.table.order.len(), 8);
+        for i in 0..=id {
+            g.remove(i);
+        }
+        assert!(g.is_empty());
+        assert_eq!(g.table.cells.len(), 8);
+        g.insert(0, Point::new(3e6 + 0.5, 0.5));
+        assert_eq!(g.table.cells.len(), 8);
+        assert_eq!(g.within(&Point::new(3e6, 0.0), 1.0), vec![0]);
+    }
+
+    /// Maps a generated `(kind, v)` pair, `kind < 8`, onto a
+    /// coordinate: in a dense cluster at the origin (half the kinds),
+    /// near it, far out, or beyond the clamp.
+    fn spread_coord(kind: u8, v: f64) -> f64 {
+        match kind {
+            0..4 => v / 10.0,
+            4 | 5 => v,
+            6 => v * 1e6,
+            _ => v * 1e300,
+        }
+    }
+
+    /// The unsorted `for_each_within` id sequence of a reference
+    /// table: a `BTreeMap` keyed `(y, x)` with the same push and
+    /// swap-remove rules, walked in key (row-major) order.
+    fn reference_sequence(
+        cells: &std::collections::BTreeMap<(i32, i32), Vec<u32>>,
+        pos: &std::collections::HashMap<u32, Point>,
+        cell: f64,
+        center: &Point,
+        r: f64,
+    ) -> Vec<u32> {
+        let xs = cell_cover(center.x, r, cell);
+        let ys = cell_cover(center.y, r, cell);
+        cells
+            .iter()
+            .filter(|((y, x), _)| ys.contains(y) && xs.contains(x))
+            .flat_map(|(_, ids)| ids.iter().copied())
+            .filter(|id| pos[id].dist2(center) <= r * r)
+            .collect()
     }
 
     proptest! {
@@ -677,6 +713,70 @@ mod tests {
             }
             let center = Point::new(qx, qy);
             prop_assert_eq!(g.within(&center, r), brute_force_within(&entries, &center, r));
+        }
+
+        #[test]
+        fn visit_order_matches_row_major_reference(
+            ops in proptest::collection::vec(
+                (0u32..40, 0u8..8, -100.0..100.0f64, 0u8..8, -100.0..100.0f64, 0u8..3),
+                0..160,
+            ),
+            queries in proptest::collection::vec(
+                (0u8..8, -100.0..100.0f64, 0u8..8, -100.0..100.0f64, 0u8..8, 0.0..60.0f64),
+                8..32,
+            ),
+            cell in 0.5..20.0f64,
+        ) {
+            use std::collections::{BTreeMap, HashMap};
+            let mut g = SpatialGrid::new(cell);
+            let mut twin = SpatialGrid::new(cell);
+            let mut cells: BTreeMap<(i32, i32), Vec<u32>> = BTreeMap::new();
+            let mut pos: HashMap<u32, Point> = HashMap::new();
+            let key = |p: &Point| (cell_coord(p.y, cell), cell_coord(p.x, cell));
+            for (id, kx, x, ky, y, op) in ops {
+                let p = Point::new(spread_coord(kx, x), spread_coord(ky, y));
+                let old = pos.get(&id).copied();
+                let applied = match op {
+                    0 => g.insert(id, p),
+                    1 => g.remove(id).is_some(),
+                    _ => g.relocate(id, p),
+                };
+                let twin_applied = match op {
+                    0 => twin.insert(id, p),
+                    1 => twin.remove(id).is_some(),
+                    _ => twin.relocate(id, p),
+                };
+                prop_assert_eq!(applied, twin_applied);
+                prop_assert_eq!(applied, if op == 0 { old.is_none() } else { old.is_some() });
+                if !applied {
+                    continue;
+                }
+                if let Some(o) = old {
+                    if op == 1 || key(&o) != key(&p) {
+                        let list = cells.get_mut(&key(&o)).expect("reference cell");
+                        let i = list.iter().position(|&v| v == id).expect("reference id");
+                        list.swap_remove(i);
+                    }
+                }
+                if op == 1 {
+                    pos.remove(&id);
+                } else {
+                    if old.is_none_or(|o| key(&o) != key(&p)) {
+                        cells.entry(key(&p)).or_default().push(id);
+                    }
+                    pos.insert(id, p);
+                }
+            }
+            for (kx, x, ky, y, kr, r) in queries {
+                let center = Point::new(spread_coord(kx, x), spread_coord(ky, y));
+                let r = spread_coord(kr, r);
+                let mut seen = Vec::new();
+                g.for_each_within(&center, r, |id, _| seen.push(id));
+                let mut twin_seen = Vec::new();
+                twin.for_each_within(&center, r, |id, _| twin_seen.push(id));
+                prop_assert_eq!(&seen, &reference_sequence(&cells, &pos, cell, &center, r));
+                prop_assert_eq!(&seen, &twin_seen);
+            }
         }
 
         #[test]
