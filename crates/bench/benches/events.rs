@@ -21,22 +21,35 @@
 //! the instrumented run's `minim-trace/1` document in the artifact so
 //! CI can validate the trace schema end to end.
 //!
+//! A `delta-vs-full-validation` arm is the locality gate: it runs the
+//! paper's §5.1 join workload at N ∈ {50, 100, 200} under per-event
+//! `O(Δ)` delta validation and under the `O(E)` full-revalidation
+//! control, then times the two validators alone on a standing
+//! 100-node network. Delta must beat Full by at least
+//! [`DELTA_MARGIN`] at N = 200 and in the isolated pair; N = 50 and
+//! N = 100 are recorded with their ratios but not asserted, since the
+//! strategy's own cost hides most of the gap there.
+//!
 //! Run via `cargo bench -p minim-bench --bench events`; CI uploads the
 //! JSON as an artifact so the trajectory accumulates across commits.
 //! Override the sweep with `MINIM_BENCH_EVENTS_NS=500,2000` and the
 //! output path with `MINIM_BENCH_EVENTS_OUT=path.json`.
 
-use minim_core::Minim;
+use minim_core::{Minim, RecodingStrategy};
 use minim_geom::{sample, Point, Rect};
+use minim_graph::conflict;
 use minim_net::event::{apply_topology, Event};
 use minim_net::workload::{
-    MixWorkload, MovementWorkload, Placement, PowerRaiseWorkload, RangeDist,
+    JoinWorkload, MixWorkload, MovementWorkload, Placement, PowerRaiseWorkload, RangeDist,
 };
 use minim_net::{Network, NodeConfig};
 use minim_sim::json::Json;
-use minim_sim::runner::{run_events, ResidentExecutor, ShardHealth, ValidationMode};
+use minim_sim::runner::{
+    run_events, run_events_validated, ResidentExecutor, ShardHealth, ValidationMode,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::hint::black_box;
 use std::time::Instant;
 
 /// Wave workers for the resident arm.
@@ -44,6 +57,33 @@ const WORKERS: usize = 8;
 
 /// Spatial cell hint for every network (the metropolis value).
 const CELL_HINT: f64 = 30.5;
+
+/// How many times faster delta validation must be than full
+/// revalidation where the locality gate asserts it. Equal code in both
+/// arms measures a ratio near 1, so the margin also catches a delta
+/// path that silently falls back to the full check.
+const DELTA_MARGIN: f64 = 1.2;
+
+/// The middle element of `times` (the upper one for an even count).
+fn median(mut times: Vec<f64>) -> f64 {
+    times.sort_by(f64::total_cmp);
+    times[times.len() / 2]
+}
+
+/// Median seconds of `reps` runs each of two arms, interleaved so
+/// drift hits both equally.
+fn paired_medians(
+    reps: usize,
+    mut a: impl FnMut() -> f64,
+    mut b: impl FnMut() -> f64,
+) -> (f64, f64) {
+    let (mut ta, mut tb) = (Vec::with_capacity(reps), Vec::with_capacity(reps));
+    for _ in 0..reps {
+        ta.push(a());
+        tb.push(b());
+    }
+    (median(ta), median(tb))
+}
 
 fn fresh(flat: bool) -> Network {
     if flat {
@@ -157,17 +197,17 @@ fn build_workloads(n: usize, seed: u64, flat: bool) -> Vec<Workload> {
 /// Median-of-`reps` wall-clock for applying `events` to a clone of
 /// `base` through a fresh Minim strategy.
 fn time_run(w: &Workload, reps: usize) -> f64 {
-    let mut times: Vec<f64> = (0..reps)
-        .map(|_| {
-            let mut net = w.base.clone();
-            let mut s = Minim::default();
-            let t = Instant::now();
-            run_events(&mut s, &mut net, &w.events);
-            t.elapsed().as_secs_f64()
-        })
-        .collect();
-    times.sort_by(f64::total_cmp);
-    times[times.len() / 2]
+    median(
+        (0..reps)
+            .map(|_| {
+                let mut net = w.base.clone();
+                let mut s = Minim::default();
+                let t = Instant::now();
+                run_events(&mut s, &mut net, &w.events);
+                t.elapsed().as_secs_f64()
+            })
+            .collect(),
+    )
 }
 
 /// The lighthouse micro-preset: `n` short-range joiners plus one
@@ -198,6 +238,101 @@ fn lighthouse_events(n: usize, seed: u64) -> Vec<Event> {
     events
 }
 
+/// The paper's §5.1 join events for `n` nodes.
+fn paper_join_events(n: usize, seed: u64) -> Vec<Event> {
+    JoinWorkload::paper(n).generate(&mut StdRng::seed_from_u64(seed))
+}
+
+/// The locality gate (see the module docs). Returns the
+/// `delta-vs-full-validation` document and panics if delta validation
+/// fails to beat full revalidation by [`DELTA_MARGIN`] at N = 200 or
+/// in the isolated validator pair.
+fn delta_vs_full_validation() -> Json {
+    let reps = 11;
+    let mut event_loop = Vec::new();
+    for n in [50usize, 100, 200] {
+        let events = paper_join_events(n, 1);
+        let arm = |mode: ValidationMode| {
+            let mut net = Network::new(CELL_HINT);
+            let mut s = Minim::default();
+            let t = Instant::now();
+            black_box(run_events_validated(&mut s, &mut net, &events, mode));
+            t.elapsed().as_secs_f64()
+        };
+        let (delta_s, full_s) = paired_medians(
+            reps,
+            || arm(ValidationMode::Delta),
+            || arm(ValidationMode::Full),
+        );
+        let ratio = full_s / delta_s;
+        println!(
+            "delta-vs-full-validation/event_loop/N={n}: delta {:>8.3} ms | full {:>8.3} ms | full/delta {ratio:.2}x",
+            delta_s * 1e3,
+            full_s * 1e3,
+        );
+        if n == 200 {
+            assert!(
+                ratio >= DELTA_MARGIN,
+                "delta validation must beat full revalidation by {DELTA_MARGIN}x at N={n}, \
+                 measured {ratio:.2}x (delta {delta_s:.5}s vs full {full_s:.5}s)"
+            );
+        }
+        event_loop.push(Json::obj(vec![
+            ("n", Json::Num(n as f64)),
+            ("events", Json::Num(events.len() as f64)),
+            ("delta_seconds", Json::Num(delta_s)),
+            ("full_seconds", Json::Num(full_s)),
+            ("full_over_delta", Json::Num(ratio)),
+            ("asserted", Json::Bool(n == 200)),
+        ]));
+    }
+
+    // The two validators alone on a standing 100-node network, as if
+    // one node's event had just landed: the strategy's cost is gone.
+    let mut net = Network::new(CELL_HINT);
+    let mut s = Minim::default();
+    for e in &paper_join_events(100, 7) {
+        s.apply(&mut net, e);
+    }
+    let seeds = [net.iter_nodes().nth(50).expect("100-node network")];
+    let calls = 1_000;
+    let per_call = |validate: &dyn Fn() -> bool| {
+        let t = Instant::now();
+        for _ in 0..calls {
+            assert!(black_box(validate()), "the standing network is valid");
+        }
+        t.elapsed().as_secs_f64() / calls as f64
+    };
+    let delta_one =
+        || conflict::validate_delta(net.graph(), net.assignment(), black_box(&seeds)).is_ok();
+    let full_graph = || conflict::validate(net.graph(), net.assignment()).is_ok();
+    let (delta_s, full_s) = paired_medians(reps, || per_call(&delta_one), || per_call(&full_graph));
+    let ratio = full_s / delta_s;
+    println!(
+        "delta-vs-full-validation/validator/N=100: delta_one_node {:>8.2} us | full_graph {:>8.2} us | full/delta {ratio:.2}x",
+        delta_s * 1e6,
+        full_s * 1e6,
+    );
+    assert!(
+        ratio >= DELTA_MARGIN,
+        "validate_delta must beat validate by {DELTA_MARGIN}x on the standing network, \
+         measured {ratio:.2}x (delta {delta_s:.3e}s vs full {full_s:.3e}s)"
+    );
+    Json::obj(vec![
+        ("margin", Json::Num(DELTA_MARGIN)),
+        ("event_loop", Json::Arr(event_loop)),
+        (
+            "validator",
+            Json::obj(vec![
+                ("n", Json::Num(net.node_count() as f64)),
+                ("delta_one_node_seconds", Json::Num(delta_s)),
+                ("full_graph_seconds", Json::Num(full_s)),
+                ("full_over_delta", Json::Num(ratio)),
+            ]),
+        ),
+    ])
+}
+
 fn main() {
     let ns: Vec<usize> = std::env::var("MINIM_BENCH_EVENTS_NS")
         .ok()
@@ -215,6 +350,10 @@ fn main() {
     });
     let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
     let seed = 0xE7E27u64;
+
+    // The locality gate first: it is quick, and a failure should not
+    // wait behind the sweep.
+    let delta_validation = delta_vs_full_validation();
 
     let mut results: Vec<Json> = Vec::new();
     for &n in &ns {
@@ -360,10 +499,8 @@ fn main() {
             "border-event fraction must stay bounded, got {:.3}",
             health.border_fraction()
         );
-        sequential_times.sort_by(f64::total_cmp);
-        resident_times.sort_by(f64::total_cmp);
-        let sequential_secs = sequential_times[reps / 2];
-        let resident_secs = resident_times[reps / 2];
+        let sequential_secs = median(sequential_times);
+        let resident_secs = median(resident_times);
         let sequential_eps = events.len() as f64 / sequential_secs;
         let resident_eps = events.len() as f64 / resident_secs;
         let speedup = resident_eps / sequential_eps;
@@ -408,18 +545,9 @@ fn main() {
             run_events(&mut s, &mut net, &w.events);
             t.elapsed().as_secs_f64()
         };
-        let mut on_times = Vec::with_capacity(reps);
-        let mut off_times = Vec::with_capacity(reps);
         arm(true); // warm-up: caches, interning
-        for _ in 0..reps {
-            off_times.push(arm(false));
-            on_times.push(arm(true));
-        }
+        let (off_secs, on_secs) = paired_medians(reps, || arm(false), || arm(true));
         minim_obs::set_enabled(true);
-        on_times.sort_by(f64::total_cmp);
-        off_times.sort_by(f64::total_cmp);
-        let on_secs = on_times[reps / 2];
-        let off_secs = off_times[reps / 2];
         let overhead = on_secs / off_secs - 1.0;
         println!(
             "profile-overhead/N={n}: disabled {:>9.0} events/s | recording {:>9.0} events/s | overhead {:+.2}%",
@@ -463,6 +591,7 @@ fn main() {
         ("lighthouse", Json::Arr(lighthouse)),
         ("resident-vs-sequential", Json::Arr(resident_vs_sequential)),
         ("profile-overhead", Json::Arr(profile_overhead)),
+        ("delta-vs-full-validation", delta_validation),
         ("trace", trace_doc),
     ]);
     std::fs::write(&out_path, doc.to_string_pretty()).expect("write BENCH_events.json");

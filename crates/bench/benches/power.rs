@@ -524,8 +524,10 @@ fn main() {
         simd_vs_scalar_arm(n, seed, &mut results);
     }
 
+    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
     let doc = Json::obj(vec![
         ("schema", Json::Str("minim-bench-power/3".to_string())),
+        ("cores", Json::Num(cores as f64)),
         ("results", Json::Arr(results)),
     ]);
     std::fs::write(&out_path, doc.to_string_pretty()).expect("write BENCH_power.json");

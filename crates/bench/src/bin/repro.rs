@@ -8,7 +8,7 @@
 //!   fig10r  — Fig 10(d–f): joins, sweep average range
 //!   fig11   — Fig 11(a–c): power increase, sweep raisefactor
 //!   fig12   — Fig 12(a–d): movement, sweep maxdisp and RoundNo
-//!   ablations — keep-weight + CP color-pick studies (DESIGN.md §6)
+//!   ablations — keep-weight + CP color-pick studies
 //!   gossip  — §6 future-work gossip compaction study
 //! --runs K  — replicates per point (default 100, the paper's protocol)
 //! --quick   — 15 replicates and thinner sweeps (smoke mode)
@@ -52,6 +52,7 @@ fn parse_args() -> Args {
                 runs = argv
                     .get(i)
                     .and_then(|s| s.parse().ok())
+                    .filter(|&n: &usize| n > 0)
                     .unwrap_or_else(|| die("--runs needs a positive integer"));
             }
             "--quick" => quick = true,

@@ -4,9 +4,9 @@
 //! the **entire network** with a centralized near-optimal heuristic at
 //! every event (§5: "a strategy that uses a centralized coloring
 //! heuristic: the BBB algorithm of \[7\], to recolor the entire network
-//! at every event"). We do not have the text of \[7\]; per DESIGN.md we
-//! realize BBB as **DSATUR** (Brélaz \[9\], which the paper itself cites
-//! for the coloring mapping) applied to the TOCA conflict graph — the
+//! at every event"). The text of \[7\] is unavailable, so we realize
+//! BBB as **DSATUR** (Brélaz \[9\], which the paper itself cites for
+//! the coloring mapping) applied to the TOCA conflict graph — the
 //! canonical near-optimal heuristic of this family — and additionally
 //! provide greedy and smallest-last (degeneracy) orderings for
 //! comparison and ablation.

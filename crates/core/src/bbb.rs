@@ -2,13 +2,13 @@
 //!
 //! "A strategy that uses a centralized coloring heuristic: the BBB
 //! algorithm of \[7\], to recolor the entire network at every event."
-//! Per DESIGN.md, the heuristic is realized as DSATUR on the TOCA
-//! conflict graph (a smallest-last variant is also available). The two
-//! behaviours the paper relies on are preserved: BBB produces the
-//! lowest max-color-index curves (near-optimal global coloring) and
-//! enormous recoding counts (it has no loyalty to the previous
-//! assignment — "BBB performs badly since it recolors the entire
-//! network at each event").
+//! The text of \[7\] is unavailable, so the heuristic is realized as
+//! DSATUR on the TOCA conflict graph (a smallest-last variant is also
+//! available). The two behaviours the paper relies on are preserved:
+//! BBB produces the lowest max-color-index curves (near-optimal global
+//! coloring) and enormous recoding counts (it has no loyalty to the
+//! previous assignment — "BBB performs badly since it recolors the
+//! entire network at each event").
 
 use crate::{ColorPlan, RecodingStrategy};
 use minim_coloring::{dsatur, rlf, smallest_last, validate_coloring, Coloring};

@@ -16,7 +16,7 @@
 //!   reselects regardless of duplication is available as
 //!   [`Cp::with_whole_neighborhood`] and explodes the recoding counts
 //!   ~5× beyond the paper's Fig 10 magnitudes, which is how we ruled
-//!   it out — see EXPERIMENTS.md.) The 2-hop avoidance is a
+//!   it out.) The 2-hop avoidance is a
 //!   conservative superset of the true CA1/CA2 constraints, which is
 //!   why CP uses more colors than Minim, and the lowest-available pick
 //!   is why it recodes more: a reselecting node abandons its old color
@@ -48,13 +48,12 @@ use std::collections::{HashMap, HashSet};
 pub struct Cp {
     /// When true, reselecting nodes avoid only their *exact* CA1/CA2
     /// constraint colors instead of every color within 2 hops. Used by
-    /// the `ablation_cp_pick` bench to isolate how much of CP's color
-    /// inflation is due to 2-hop conservatism.
+    /// the `minim_sim::experiments::ablation_cp_pick` study to isolate
+    /// how much of CP's color inflation is due to 2-hop conservatism.
     pub exact_constraints: bool,
     /// When true, a join/move reselects the joiner's **entire** 1-hop
     /// neighborhood instead of only duplicated color classes — the
-    /// alternative reading of \[3\] discussed in the module docs and
-    /// EXPERIMENTS.md.
+    /// alternative reading of \[3\] discussed in the module docs.
     pub whole_neighborhood: bool,
 }
 

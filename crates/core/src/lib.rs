@@ -13,8 +13,8 @@
 //! * [`Cp`] — the Chlamtac–Pinter baseline (§3, \[3\]): identity-ordered
 //!   greedy reselection with conservative 2-hop color avoidance.
 //! * [`Bbb`] — the centralized baseline (§5, \[7\]): recolor the whole
-//!   network with a near-optimal global heuristic (DSATUR per
-//!   DESIGN.md) at every event.
+//!   network with a near-optimal global heuristic (DSATUR, standing in
+//!   for \[7\], whose text is unavailable) at every event.
 //!
 //! [`bounds`] computes the paper's minimal-recoding lower bounds so
 //! tests can verify [`Minim`] attains them *exactly* (Theorems 4.1.8,

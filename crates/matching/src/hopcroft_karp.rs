@@ -1,10 +1,9 @@
 //! Hopcroft–Karp maximum-cardinality bipartite matching, `O(E √V)`.
 //!
-//! Weight-blind: used to cross-check the Hungarian solver (uniform
-//! weights) and as the "cardinality-only" arm of the matching-policy
-//! ablation (`minim-bench::ablation_matching`), which quantifies how
-//! much of Minim's behaviour comes from the weight-3 keep-edges versus
-//! mere cardinality maximization.
+//! Weight-blind: the reference for the Hungarian solver on uniform
+//! weights, where maximum weight and maximum cardinality coincide. (The
+//! weight-blind keep-weight ablation runs the Hungarian itself, through
+//! `Minim::with_keep_weight(1)`, not this solver.)
 
 use crate::{Matching, WeightedBipartite};
 use std::collections::VecDeque;

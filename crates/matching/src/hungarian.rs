@@ -352,6 +352,30 @@ mod tests {
         assert!(m.validate(&g).is_ok());
     }
 
+    /// The optimum on dense general-weight instances up to 7 × 7 —
+    /// larger and denser than the proptest below reaches.
+    #[test]
+    fn matches_brute_force_on_random_dense_instances() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(1);
+        for _ in 0..100 {
+            let l = rng.gen_range(1..8);
+            let r = rng.gen_range(1..8);
+            let mut g = WeightedBipartite::new(l, r);
+            for i in 0..l {
+                for j in 0..r {
+                    if rng.gen_bool(0.7) {
+                        g.add_edge(i, j, rng.gen_range(1..12));
+                    }
+                }
+            }
+            let fast = max_weight_matching(&g);
+            assert!(fast.validate(&g).is_ok());
+            assert_eq!(fast.weight, brute::brute_force_max_weight(&g).weight);
+        }
+    }
+
     proptest! {
         /// The Hungarian result matches the brute-force optimum in
         /// total weight on random small instances, and is always valid.

@@ -14,21 +14,16 @@
 //!   via the Hungarian algorithm with dual potentials, `O(L² · R)`;
 //!   vertices may remain unmatched (the matching need not be perfect).
 //! * [`hopcroft_karp()`] — maximum-*cardinality* matching in `O(E √V)`;
-//!   used for cross-checks and the weight-blind ablation.
-//! * [`auction_matching`] — an independent maximum-weight solver
-//!   (Bertsekas' auction); the property tests demand it agrees with
-//!   the Hungarian solver, cross-validating both.
+//!   the reference the Hungarian must match on uniform weights.
 //! * [`brute`] — exhaustive oracles for small instances, used by the
 //!   property tests and the optimality-among-minimal experiments.
 
 #![deny(missing_docs)]
 
-pub mod auction;
 pub mod brute;
 pub mod hopcroft_karp;
 pub mod hungarian;
 
-pub use auction::auction_matching;
 pub use hopcroft_karp::hopcroft_karp;
 pub use hungarian::max_weight_matching;
 

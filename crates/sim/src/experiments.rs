@@ -1,5 +1,5 @@
 //! The paper's §5 figures as thin wrappers over the scenario lab,
-//! plus the ablation and extension studies from DESIGN.md.
+//! plus ablation and extension studies beyond the paper.
 //!
 //! Since the scenario-lab refactor the figure drivers no longer own
 //! their event loops: each `fig*` function instantiates the matching
