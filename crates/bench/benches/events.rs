@@ -9,7 +9,8 @@
 //! joiners — isolates the tier win: under the flat index the
 //! lighthouse's watermark inflates every later join's reverse-reach
 //! scan to its radius; the stratified index keeps the short tier's
-//! scans short and must deliver ≥ 2× join throughput at N = 4k. A `resident-vs-sequential` arm runs
+//! scans short and must deliver ≥ [`LIGHTHOUSE_MARGIN`] (2×) join
+//! throughput at N = 4k, or the bench panics. A `resident-vs-sequential` arm runs
 //! metropolis churn in slices through the sequential runner and the
 //! persistent spatial-ownership resident executor, asserting
 //! bit-identity and a healthy shard structure (shard count > 1,
@@ -63,6 +64,10 @@ const CELL_HINT: f64 = 30.5;
 /// arms measures a ratio near 1, so the margin also catches a delta
 /// path that silently falls back to the full check.
 const DELTA_MARGIN: f64 = 1.2;
+
+/// How many times faster stratified joins must be than flat ones on
+/// the lighthouse preset at N = 4k (the bench panics below it).
+const LIGHTHOUSE_MARGIN: f64 = 2.0;
 
 /// The middle element of `times` (the upper one for an even count).
 fn median(mut times: Vec<f64>) -> f64 {
@@ -403,9 +408,11 @@ fn main() {
         println!(
             "lighthouse/N={n}: flat {flat_eps:>9.0} events/s | stratified {strat_eps:>9.0} events/s | tier speedup {speedup:.2}x"
         );
-        if n >= 4_000 && speedup < 2.0 {
-            eprintln!("WARNING: lighthouse speedup below the 2x acceptance bar at N={n}");
-        }
+        assert!(
+            n < 4_000 || speedup >= LIGHTHOUSE_MARGIN,
+            "stratified joins must beat flat by {LIGHTHOUSE_MARGIN}x on the lighthouse at N={n}, \
+             measured {speedup:.2}x"
+        );
         lighthouse.push(Json::obj(vec![
             ("n", Json::Num(n as f64)),
             ("flat_events_per_sec", Json::Num(flat_eps)),

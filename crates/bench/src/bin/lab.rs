@@ -248,14 +248,16 @@ fn cmd_run(argv: &[String]) -> ExitCode {
     // so clear whatever startup recorded before the run begins.
     minim_obs::reset();
     let quiet = args.quiet;
-    let result = scenario.run_with_progress(&cfg, |p: SweepProgress| {
-        if !quiet {
-            eprintln!(
-                "minim-lab: [{}/{}] x = {} done ({} replicates, {:.1?} elapsed)",
-                p.done, p.total, p.x, p.replicates, p.elapsed
-            );
-        }
-    });
+    let result = scenario
+        .run_with_progress(&cfg, |p: SweepProgress| {
+            if !quiet {
+                eprintln!(
+                    "minim-lab: [{}/{}] x = {} done ({} replicates, {:.1?} elapsed)",
+                    p.done, p.total, p.x, p.replicates, p.elapsed
+                );
+            }
+        })
+        .unwrap_or_else(|e| die(&e.to_string()));
     emit(&args, &result)
 }
 

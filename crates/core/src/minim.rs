@@ -23,9 +23,10 @@
 use crate::{BatchLocality, ColorPlan, RecodingStrategy};
 use minim_graph::conflict;
 use minim_graph::{Assignment, Color, ColorBits, DiGraph, NodeId};
-use minim_matching::{max_weight_matching, WeightedBipartite};
+use minim_matching::hungarian;
 use minim_net::event::{AppliedEvent, PowerDirection};
 use minim_net::{Network, TopologyDelta};
+use std::cell::RefCell;
 
 /// Weight of a "keep your old color" edge in the matching instance.
 /// The paper fixes 3: the smallest integer that survives the swap
@@ -159,6 +160,75 @@ impl Minim {
     }
 }
 
+/// Per-thread buffers of the matching path, reused across events: the
+/// gather's node stamps and bitset rows, the cost matrix and the
+/// solver's scratch. A thread that never plans a matching allocates
+/// none of it; the stamps grow to the largest node id a gather touches.
+#[derive(Debug, Default)]
+struct Scratch {
+    stamps: Stamps,
+    receivers: Vec<NodeId>,
+    shared: Vec<u64>,
+    bits: ColorBits,
+    cost: Vec<i64>,
+    hungarian: hungarian::Scratch,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
+}
+
+/// Node-indexed epoch stamps: a slot's field means something only
+/// while it equals the current epoch, so starting a gather costs one
+/// increment instead of a clear.
+#[derive(Debug, Default)]
+struct Stamps {
+    /// The current gather's epoch; never 0 while in use, so a slot
+    /// fresh from a resize (all zeros) matches no epoch.
+    epoch: u32,
+    slots: Vec<Slot>,
+}
+
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    /// `== epoch` iff the node is a member of the recode set.
+    member: u32,
+    /// `== epoch` iff the node is a receiver of the set; `row` is then
+    /// its row in the shared bitsets.
+    receiver: u32,
+    row: u32,
+}
+
+impl Stamps {
+    /// Starts a new gather. When the epoch wraps, every slot is
+    /// cleared once, so a stamp from 2³² gathers ago cannot alias.
+    fn next_epoch(&mut self) -> u32 {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.slots.fill(Slot::default());
+            self.epoch = 1;
+        }
+        self.epoch
+    }
+
+    /// The slot of `x`, growing the table to cover it.
+    fn slot_mut(&mut self, x: NodeId) -> &mut Slot {
+        let i = x.index();
+        if i >= self.slots.len() {
+            self.slots.resize(i + 1, Slot::default());
+        }
+        &mut self.slots[i]
+    }
+
+    /// Whether `x` is outside the current set. Ids beyond the table
+    /// were never stamped, so they are outside.
+    fn outside(&self, x: NodeId) -> bool {
+        self.slots
+            .get(x.index())
+            .is_none_or(|s| s.member != self.epoch)
+    }
+}
+
 /// Collects, for each member of the (sorted) recode `set`, its old
 /// color and its *external constraints* — the colors of its CA1/CA2
 /// conflict partners outside the set (Fig 3 steps 1–2). Returned
@@ -171,36 +241,64 @@ pub fn gather_recode_inputs(net: &Network, set: &[NodeId]) -> (Vec<Option<Color>
     gather(net.graph(), net.assignment(), set)
 }
 
-/// [`gather_recode_inputs`] over a bare graph and assignment.
+/// [`gather_recode_inputs`] over a bare graph and assignment, on this
+/// thread's scratch.
+fn gather(g: &DiGraph, a: &Assignment, set: &[NodeId]) -> (Vec<Option<Color>>, Vec<Vec<u32>>) {
+    SCRATCH.with(|s| gather_with(&mut s.borrow_mut(), g, a, set))
+}
+
+/// The gather proper.
 ///
 /// The members of a dense recode set share most of their receivers, so
 /// the CA2 half of every member's two-hop walk is done once per event:
 /// each receiver `w` of the set gets a color bitset of `in(w) \ set`,
 /// and a member's forbidden set is the colors of `(out(u) ∪ in(u)) \
-/// set` OR-ed with the bitsets of its receivers. Cost is
-/// `O(Σ_w |in(w)| + Σ_u (deg(u) + |out(u)|·words))` with
-/// `words = max_color / 64 + 1`, against `O(Σ_u Σ_{w ∈ out(u)}
-/// |in(w)|)` plus a sort per member for the per-member walk.
-fn gather(g: &DiGraph, a: &Assignment, set: &[NodeId]) -> (Vec<Option<Color>>, Vec<Vec<u32>>) {
+/// set` OR-ed with the bitsets of its receivers. Set membership and the
+/// receiver → row map are node-indexed epoch stamps, with rows in
+/// first-seen order. Cost is `O(Σ_w |in(w)| + Σ_u (deg(u) +
+/// |out(u)|·words))` with `words = max_color / 64 + 1`, against
+/// `O(Σ_u Σ_{w ∈ out(u)} |in(w)|)` plus a sort per member for the
+/// per-member walk; nothing is proportional to the network's size.
+fn gather_with(
+    s: &mut Scratch,
+    g: &DiGraph,
+    a: &Assignment,
+    set: &[NodeId],
+) -> (Vec<Option<Color>>, Vec<Vec<u32>>) {
     debug_assert!(set.windows(2).all(|w| w[0] < w[1]), "set must be sorted");
     let words = a.max_color_index() as usize / 64 + 1;
-    let outside = |x: NodeId| set.binary_search(&x).is_err();
-
-    let mut receivers: Vec<NodeId> = set
-        .iter()
-        .flat_map(|&m| g.out_neighbors(m).iter().copied())
-        .collect();
-    receivers.sort_unstable();
-    receivers.dedup();
+    let Scratch {
+        stamps,
+        receivers,
+        shared,
+        bits,
+        ..
+    } = s;
+    let epoch = stamps.next_epoch();
+    for &m in set {
+        stamps.slot_mut(m).member = epoch;
+    }
+    receivers.clear();
+    for &m in set {
+        for &w in g.out_neighbors(m) {
+            let slot = stamps.slot_mut(w);
+            if slot.receiver != epoch {
+                slot.receiver = epoch;
+                slot.row = receivers.len() as u32;
+                receivers.push(w);
+            }
+        }
+    }
     // Row `i` holds the colors of `in(receivers[i]) \ set`. A color's
-    // bit is tested before the (costlier) set-membership search.
-    let mut shared = vec![0u64; receivers.len() * words];
-    for (row, &w) in shared.chunks_exact_mut(words).zip(&receivers) {
+    // bit is tested before the set-membership stamp.
+    shared.clear();
+    shared.resize(receivers.len() * words, 0);
+    for (row, &w) in shared.chunks_exact_mut(words).zip(receivers.iter()) {
         for &x in g.in_neighbors(w) {
             if let Some(c) = a.get(x) {
                 let k = c.index() as usize;
                 let bit = 1u64 << (k % 64);
-                if row[k / 64] & bit == 0 && outside(x) {
+                if row[k / 64] & bit == 0 && stamps.outside(x) {
                     row[k / 64] |= bit;
                 }
             }
@@ -209,27 +307,19 @@ fn gather(g: &DiGraph, a: &Assignment, set: &[NodeId]) -> (Vec<Option<Color>>, V
 
     let mut old = Vec::with_capacity(set.len());
     let mut forbidden = Vec::with_capacity(set.len());
-    let mut bits = ColorBits::new();
     for &u in set {
         old.push(a.get(u));
         bits.clear();
         for &p in g.out_neighbors(u).iter().chain(g.in_neighbors(u)) {
             if let Some(c) = a.get(p) {
-                if !bits.contains(c) && outside(p) {
+                if !bits.contains(c) && stamps.outside(p) {
                     bits.insert(c);
                 }
             }
         }
-        // `out(u)` ascends, so each receiver's row lies at or after the
-        // previous one's.
-        let mut from = 0;
         for &w in g.out_neighbors(u) {
-            let i = from
-                + receivers[from..]
-                    .binary_search(&w)
-                    .expect("w is a receiver");
+            let i = stamps.slots[w.index()].row as usize;
             bits.union_words(&shared[i * words..(i + 1) * words]);
-            from = i + 1;
         }
         forbidden.push(bits.iter().map(Color::index).collect());
     }
@@ -245,7 +335,10 @@ fn gather(g: &DiGraph, a: &Assignment, set: &[NodeId]) -> (Vec<Option<Color>>, V
 /// weight `keep_weight` on keep-edges and 1 elsewhere; unmatched
 /// members take fresh colors `max+1, max+2, …` in set order (the paper
 /// assigns them "randomly"; a deterministic order is an equally valid
-/// tie-break and keeps runs reproducible).
+/// tie-break and keeps runs reproducible). The instance goes to the
+/// solver as a dense `members × max` cost matrix filled straight from
+/// the forbidden lists: −1 everywhere, 0 (no edge) on forbidden colors,
+/// `−keep_weight` on an old color that is not forbidden.
 ///
 /// This function is pure — the distributed joiner (`minim-proto`) runs
 /// it on message-reconstructed inputs and necessarily computes the
@@ -263,8 +356,12 @@ fn gather(g: &DiGraph, a: &Assignment, set: &[NodeId]) -> (Vec<Option<Color>>, V
 /// let keeps = plan.iter().filter(|&&c| c == Color::new(1)).count();
 /// assert_eq!(keeps, 1);
 /// ```
+///
+/// # Panics
+/// Panics if the input arrays differ in length or `keep_weight < 1`.
 pub fn plan_recode(old: &[Option<Color>], forbidden: &[Vec<u32>], keep_weight: i64) -> Vec<Color> {
     assert_eq!(old.len(), forbidden.len(), "parallel input arrays");
+    assert!(keep_weight >= 1, "keep weight must be >= 1");
 
     // Fast path: when all old colors are pairwise distinct, externally
     // consistent, and at most one member (the joiner) is uncolored,
@@ -313,28 +410,38 @@ pub fn plan_recode(old: &[Option<Color>], forbidden: &[Vec<u32>], keep_weight: i
         }
     }
 
-    let mut bg = WeightedBipartite::new(old.len(), max as usize);
-    for i in 0..old.len() {
-        let old_idx = old[i].map(Color::index);
-        for k in 1..=max {
-            if forbidden[i].binary_search(&k).is_err() {
-                let w = if old_idx == Some(k) { keep_weight } else { 1 };
-                bg.add_edge(i, (k - 1) as usize, w);
+    let cols = max as usize;
+    SCRATCH.with(|s| {
+        let s = &mut *s.borrow_mut();
+        s.cost.clear();
+        s.cost.resize(old.len() * cols, -1);
+        // With `max = 0` there are no cells to fill (`.max(1)` only
+        // keeps the chunk size legal).
+        for ((row, o), f) in s.cost.chunks_exact_mut(cols.max(1)).zip(old).zip(forbidden) {
+            // Color 0 is no color, so it bars nothing.
+            for &k in f.iter().filter(|&&k| k > 0) {
+                row[k as usize - 1] = 0;
+            }
+            if let Some(c) = o {
+                let cell = &mut row[c.index() as usize - 1];
+                if *cell != 0 {
+                    *cell = -keep_weight;
+                }
             }
         }
-    }
-    let matching = max_weight_matching(&bg);
-
-    let mut fresh = max;
-    (0..old.len())
-        .map(|i| match matching.pairs[i] {
-            Some(r) => Color::new(r as u32 + 1),
-            None => {
-                fresh += 1;
-                Color::new(fresh)
-            }
-        })
-        .collect()
+        let pairs = hungarian::solve(&s.cost, old.len(), cols, &mut s.hungarian);
+        let mut fresh = max;
+        pairs
+            .iter()
+            .map(|pair| match *pair {
+                Some(r) => Color::new(r as u32 + 1),
+                None => {
+                    fresh += 1;
+                    Color::new(fresh)
+                }
+            })
+            .collect()
+    })
 }
 
 impl RecodingStrategy for Minim {
@@ -787,6 +894,122 @@ mod tests {
                 prop_assert_eq!(w3, w9);
             }
         }
+
+        /// `plan_recode` as it stood before the dense cost build: the
+        /// same fast path, then a `WeightedBipartite` with one binary
+        /// search and one insert per cell, solved by the verbatim
+        /// textbook Hungarian loop.
+        fn reference_plan_recode(
+            old: &[Option<Color>],
+            forbidden: &[Vec<u32>],
+            keep_weight: i64,
+        ) -> Vec<Color> {
+            use minim_matching::reference::reference_max_weight_matching;
+            use minim_matching::WeightedBipartite;
+            if keep_weight > 1 {
+                let mut kept: Vec<u32> = old.iter().flatten().map(|c| c.index()).collect();
+                kept.sort_unstable();
+                let distinct = kept.windows(2).all(|w| w[0] != w[1]);
+                let nones = old.iter().filter(|o| o.is_none()).count();
+                let consistent = old
+                    .iter()
+                    .zip(forbidden)
+                    .all(|(o, f)| o.is_none_or(|c| f.binary_search(&c.index()).is_err()));
+                if distinct && nones <= 1 && consistent {
+                    return old
+                        .iter()
+                        .enumerate()
+                        .map(|(i, o)| match o {
+                            Some(c) => *c,
+                            None => Color::lowest_excluding(
+                                kept.iter()
+                                    .chain(forbidden[i].iter())
+                                    .map(|&k| Color::new(k)),
+                            ),
+                        })
+                        .collect();
+                }
+            }
+            let mut max = 0u32;
+            for c in old.iter().flatten() {
+                max = max.max(c.index());
+            }
+            for f in forbidden {
+                if let Some(&m) = f.last() {
+                    max = max.max(m);
+                }
+            }
+            let mut bg = WeightedBipartite::new(old.len(), max as usize);
+            for i in 0..old.len() {
+                let old_idx = old[i].map(Color::index);
+                for k in 1..=max {
+                    if forbidden[i].binary_search(&k).is_err() {
+                        let w = if old_idx == Some(k) { keep_weight } else { 1 };
+                        bg.add_edge(i, (k - 1) as usize, w);
+                    }
+                }
+            }
+            let matching = reference_max_weight_matching(&bg);
+            let mut fresh = max;
+            (0..old.len())
+                .map(|i| match matching.pairs[i] {
+                    Some(r) => Color::new(r as u32 + 1),
+                    None => {
+                        fresh += 1;
+                        Color::new(fresh)
+                    }
+                })
+                .collect()
+        }
+
+        proptest! {
+            /// The dense cost build + lazy-potential solver reproduces
+            /// the reference plan color for color on Minim-shaped
+            /// instances up to 48 members: shared old classes,
+            /// uncolored members, externally clashing old colors, every
+            /// keep weight in {1, 2, 3, 5}. `shape` 1 leaves everyone
+            /// uncolored and unconstrained (`max = 0`); shape 2 draws
+            /// forbidden colors only above every old color.
+            #[test]
+            fn plan_matches_reference_plan(
+                members in 0usize..49,
+                palette in 1u32..40,
+                above in 0u32..25,
+                uncolored in 0.0f64..0.4,
+                density in 0.0f64..0.6,
+                clash in 0.0f64..0.2,
+                weight in 0usize..4,
+                shape in 0u32..3,
+                seed in 0u64..u64::MAX,
+            ) {
+                use rand::rngs::StdRng;
+                use rand::{Rng, SeedableRng};
+                let mut rng = StdRng::seed_from_u64(seed);
+                let keep_weight = [1, 2, 3, 5][weight];
+                let mut old = Vec::with_capacity(members);
+                let mut forbidden = Vec::with_capacity(members);
+                for _ in 0..members {
+                    let o = (shape != 1 && !rng.gen_bool(uncolored))
+                        .then(|| rng.gen_range(1..=palette));
+                    let lowest = if shape == 2 { palette + 1 } else { 1 };
+                    let f: Vec<u32> = if shape == 1 {
+                        Vec::new()
+                    } else {
+                        (lowest..=palette + above)
+                            .filter(|&k| {
+                                rng.gen_bool(density) && (Some(k) != o || rng.gen_bool(clash))
+                            })
+                            .collect()
+                    };
+                    old.push(o.map(Color::new));
+                    forbidden.push(f);
+                }
+                prop_assert_eq!(
+                    plan_recode(&old, &forbidden, keep_weight),
+                    reference_plan_recode(&old, &forbidden, keep_weight)
+                );
+            }
+        }
     }
 
     mod gather_properties {
@@ -878,6 +1101,89 @@ mod tests {
                 }
                 prop_assert_eq!(gather(&g, &a, &set), reference_gather(&g, &a, &set));
             }
+
+            /// The stamped gather on sparse, large node ids: members
+            /// come from the low ids, many of their partners (and the
+            /// receivers' in-neighbours) lie above every member's id,
+            /// beyond the stamp table a set alone would size. Eight
+            /// sets are gathered in a row on this thread, so stamps
+            /// from earlier gathers are reused and must not leak.
+            #[test]
+            fn sparse_large_ids_gather_matches_reference(
+                k in 2usize..60,
+                spread in 1u32..5000,
+                density in 0.0f64..0.4,
+                max_color in 1u32..150,
+                seed in 0u64..u64::MAX,
+            ) {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut ids: Vec<u32> = (0..k).map(|_| rng.gen_range(0..=spread) * 17).collect();
+                ids.sort_unstable();
+                ids.dedup();
+                let mut g = DiGraph::new();
+                for &i in &ids {
+                    g.insert_node(NodeId(i));
+                }
+                for &u in &ids {
+                    for &v in &ids {
+                        if u != v && rng.gen_bool(density) {
+                            g.add_edge(NodeId(u), NodeId(v));
+                        }
+                    }
+                }
+                let a: Assignment = ids
+                    .iter()
+                    .filter_map(|&i| {
+                        let colored = rng.gen_bool(0.9);
+                        colored.then(|| (NodeId(i), Color::new(rng.gen_range(1..=max_color))))
+                    })
+                    .collect();
+                let low = &ids[..ids.len().div_ceil(2)];
+                for _ in 0..8 {
+                    let mut set: Vec<NodeId> =
+                        low.iter().filter(|_| rng.gen_bool(0.4)).map(|&i| NodeId(i)).collect();
+                    if set.is_empty() {
+                        set.push(NodeId(low[rng.gen_range(0..low.len())]));
+                    }
+                    prop_assert_eq!(gather(&g, &a, &set), reference_gather(&g, &a, &set));
+                }
+            }
+        }
+
+        /// The epoch wraps: stamps written at epoch 1 by an early
+        /// gather would read as members of the first gather after the
+        /// wrap (epoch 1 again) unless the wrap clears every slot.
+        #[test]
+        fn epoch_wrap_clears_stale_stamps() {
+            use super::super::{gather_with, Scratch};
+            // 0 and 1 both transmit into 2; everyone is colored.
+            let mut g = DiGraph::new();
+            for i in 0..5 {
+                g.insert_node(NodeId(i));
+            }
+            g.add_edge(NodeId(0), NodeId(2));
+            g.add_edge(NodeId(1), NodeId(2));
+            g.add_edge(NodeId(3), NodeId(4));
+            let a: Assignment = (0..5).map(|i| (NodeId(i), Color::new(i + 1))).collect();
+            let mut s = Scratch::default();
+            let check = |s: &mut Scratch, set: &[NodeId]| {
+                assert_eq!(gather_with(s, &g, &a, set), reference_gather(&g, &a, set));
+            };
+            // Epoch 1 stamps 0 and 1 as members.
+            check(&mut s, &[NodeId(0), NodeId(1)]);
+            assert_eq!(s.stamps.epoch, 1);
+            // Jump to the end of the epoch range and run across it.
+            s.stamps.epoch = u32::MAX - 1;
+            check(&mut s, &[NodeId(3)]);
+            assert_eq!(s.stamps.epoch, u32::MAX);
+            // Epoch 1 again: 0 and 1 are outside {2}, so their colors
+            // 1 and 2 must be forbidden to it.
+            check(&mut s, &[NodeId(2)]);
+            assert_eq!(s.stamps.epoch, 1);
+            assert_eq!(
+                gather_with(&mut s, &g, &a, &[NodeId(2)]).1,
+                vec![vec![1, 2]]
+            );
         }
     }
 

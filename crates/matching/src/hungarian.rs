@@ -19,88 +19,177 @@
 //!   Appendix A of the paper (Theorems 4.1.8 / 4.1.9): any matching
 //!   missing a retainable old color, or matching fewer vertices, has
 //!   strictly smaller weight by the swap argument.
+//!
+//! # One solver, lazy potentials
+//!
+//! [`solve`] is the only solver loop; [`max_weight_matching`] fills its
+//! dense cost matrix from a [`WeightedBipartite`]. `solve` runs the
+//! e-maxx formulation row by row, but defers the dual updates that the
+//! textbook loop applies after every Dijkstra step:
+//!
+//! * Only the unused columns are scanned, from a list kept in ascending
+//!   order, so the first column attaining the minimum is the same one
+//!   the full scan would pick.
+//! * A column's running minimum is stored as its textbook value plus
+//!   the delta accumulated so far in the row (`acc`), so nothing is
+//!   decremented per step: the next `delta` is the smallest stored
+//!   minimum minus `acc`, and `acc` becomes that stored minimum.
+//! * Each column records the `acc` at which it was marked used. The
+//!   textbook loop adds every later delta to `u[p[j]]` and subtracts it
+//!   from `v[j]`, i.e. `acc_final − acc_marked` in total; that sum is
+//!   applied once per row, before the augmenting path is unwound. A
+//!   row is only read (as `u[i0]`) in the step its column is marked,
+//!   when it has received no delta yet, so the deferred values are
+//!   never needed earlier.
+//!
+//! Every comparison of the textbook loop therefore compares the same
+//! two integers shifted by the same `acc`, so the lazy loop takes the
+//! same branch every time: `u`, `v` and the column → row map `p` are
+//! identical after every row, and so is the matching, tie-breaks
+//! included. `reference::reference_max_weight_matching` (test-only)
+//! keeps the textbook loop verbatim as the oracle for that claim.
 
 use crate::{Matching, WeightedBipartite};
 
 const INF: i64 = i64::MAX / 4;
 
-/// Computes a maximum-weight matching of `g`. Vertices may remain
-/// unmatched; with strictly positive weights the result is always a
-/// *maximal* matching (no edge can be added), and its total weight is
-/// globally optimal.
-#[allow(clippy::needless_range_loop)] // dual updates are index-coupled across u/v/p
-pub fn max_weight_matching(g: &WeightedBipartite) -> Matching {
-    let n = g.left_count(); // rows
-    let rc = g.right_count();
+/// Reusable buffers for [`solve`]. A default value is empty; buffers
+/// grow to the largest instance solved and are reused, so a caller
+/// that keeps one `Scratch` allocates nothing in steady state.
+#[derive(Debug, Clone, Default)]
+pub struct Scratch {
+    /// Row potentials, 1-indexed (index 0 unused).
+    u: Vec<i64>,
+    /// Column potentials, 1-indexed (index 0 = the start sentinel).
+    v: Vec<i64>,
+    /// `p[j]`: the row matched to column `j` (0 = none).
+    p: Vec<usize>,
+    /// Predecessor column on the shortest-path tree.
+    way: Vec<usize>,
+    /// Running minimum of each unused column, plus the row's `acc`.
+    minv: Vec<i64>,
+    /// The `acc` at which each used column was marked.
+    marked_at: Vec<i64>,
+    /// Unused columns, ascending.
+    free: Vec<usize>,
+    /// Used columns of the current row, in marking order.
+    used: Vec<usize>,
+    /// The result: `pairs[row]` is the matched real column, if any.
+    pairs: Vec<Option<usize>>,
+}
+
+/// Solves the assignment behind a maximum-weight matching on a dense
+/// `rows × cols` cost matrix (row-major, `cost[r * cols + c]`).
+///
+/// A negative cell `-w` is an edge of weight `w`; a zero cell is a
+/// non-edge. Positive cells are not allowed. Each row is assigned to a
+/// distinct real column or to a zero-cost dummy of its own, minimising
+/// the total cost, i.e. maximising the total weight. Returns, per row,
+/// its matched real column, or `None` when it took a dummy or a
+/// non-edge. The tie-breaks are those of the textbook e-maxx loop (see
+/// the module docs).
+///
+/// # Panics
+/// Panics if `cost.len() != rows * cols`.
+pub fn solve<'s>(
+    cost: &[i64],
+    rows: usize,
+    cols: usize,
+    s: &'s mut Scratch,
+) -> &'s [Option<usize>] {
+    assert_eq!(cost.len(), rows * cols, "cost must be rows × cols");
+    debug_assert!(cost.iter().all(|&c| c <= 0), "costs are negated weights");
+    let (n, rc) = (rows, cols);
     let m = rc + n; // real columns + one dummy column per row
+    s.pairs.clear();
+    s.pairs.resize(n, None);
     if n == 0 {
-        return Matching {
-            pairs: Vec::new(),
-            weight: 0,
-        };
+        return &s.pairs;
     }
-
-    // Dense costs, built once from the adjacency lists:
-    // `cost[l * rc + r]` is the negated weight of real edge (l, r) and
-    // 0 for a non-edge; dummy columns cost 0. The Dijkstra scans below
-    // index one row slice instead of searching `g` per cell. Rows and
-    // columns are 1-indexed in the loops (index 0 = sentinel).
-    let mut cost = vec![0i64; n * rc];
-    for l in 0..n {
-        for &(r, w) in g.neighbors(l) {
-            cost[l * rc + r] = -w;
-        }
-    }
-
-    // Potentials and matching state (e-maxx formulation).
-    let mut u = vec![0i64; n + 1];
-    let mut v = vec![0i64; m + 1];
-    let mut p = vec![0usize; m + 1]; // p[j] = row matched to column j
-    let mut way = vec![0usize; m + 1];
-    let mut minv = vec![INF; m + 1];
-    let mut used = vec![false; m + 1];
+    // Potentials and the matching start at zero; `way`, `minv` and
+    // `marked_at` are written before they are read.
+    s.u.clear();
+    s.u.resize(n + 1, 0);
+    s.v.clear();
+    s.v.resize(m + 1, 0);
+    s.p.clear();
+    s.p.resize(m + 1, 0);
+    s.way.resize(m + 1, 0);
+    s.minv.resize(m + 1, INF);
+    s.marked_at.resize(m + 1, 0);
+    let Scratch {
+        u,
+        v,
+        p,
+        way,
+        minv,
+        marked_at,
+        free,
+        used,
+        pairs,
+    } = s;
 
     for i in 1..=n {
         p[0] = i;
+        free.clear();
+        free.extend(1..=m);
+        minv[1..].fill(INF);
+        used.clear();
+        used.push(0);
+        marked_at[0] = 0;
+        // `free[..real]` are the free real columns, `free[real..]` the
+        // free dummies (all of cost 0).
+        let mut real = rc;
+        let mut acc = 0i64;
         let mut j0 = 0usize;
-        minv.fill(INF);
-        used.fill(false);
         loop {
-            used[j0] = true;
+            // Column `j0` was marked at the current `acc`, so row `i0`
+            // has received no deferred delta: `u[i0]` is exact.
             let i0 = p[j0];
+            let base = acc - u[i0];
             let row = &cost[(i0 - 1) * rc..i0 * rc];
-            let mut delta = INF;
-            let mut j1 = 0usize;
-            for j in 1..=m {
-                if used[j] {
-                    continue;
-                }
-                let c = if j <= rc { row[j - 1] } else { 0 };
-                let cur = c - u[i0] - v[j];
+            let mut best = INF;
+            let mut at = 0usize;
+            for (k, &j) in free[..real].iter().enumerate() {
+                let cur = row[j - 1] + base - v[j];
                 if cur < minv[j] {
                     minv[j] = cur;
                     way[j] = j0;
                 }
-                if minv[j] < delta {
-                    delta = minv[j];
-                    j1 = j;
+                if minv[j] < best {
+                    best = minv[j];
+                    at = k;
                 }
             }
-            debug_assert!(delta < INF, "augmentation must always succeed (dummies)");
-            for j in 0..=m {
-                if used[j] {
-                    u[p[j]] += delta;
-                    v[j] -= delta;
-                } else {
-                    minv[j] -= delta;
+            for (k, &j) in free[real..].iter().enumerate() {
+                let cur = base - v[j];
+                if cur < minv[j] {
+                    minv[j] = cur;
+                    way[j] = j0;
+                }
+                if minv[j] < best {
+                    best = minv[j];
+                    at = real + k;
                 }
             }
-            j0 = j1;
+            debug_assert!(best < INF, "augmentation must always succeed (dummies)");
+            acc = best;
+            j0 = free.remove(at);
+            if at < real {
+                real -= 1;
+            }
             if p[j0] == 0 {
                 break;
             }
+            marked_at[j0] = acc;
+            used.push(j0);
         }
-        // Unwind the augmenting path.
+        // The deferred dual updates, then unwind the augmenting path.
+        for &j in used.iter() {
+            let d = acc - marked_at[j];
+            u[p[j]] += d;
+            v[j] -= d;
+        }
         loop {
             let j1 = way[j0];
             p[j0] = p[j1];
@@ -111,19 +200,36 @@ pub fn max_weight_matching(g: &WeightedBipartite) -> Matching {
         }
     }
 
-    // Extract: row -> column, keeping only genuine edges.
-    let mut pairs = vec![None; n];
-    let mut weight = 0i64;
     for j in 1..=rc {
         let i = p[j];
-        if i == 0 {
-            continue;
-        }
-        if let Some(w) = g.weight(i - 1, j - 1) {
+        if i != 0 && cost[(i - 1) * rc + j - 1] < 0 {
             pairs[i - 1] = Some(j - 1);
-            weight += w;
         }
     }
+    pairs
+}
+
+/// Computes a maximum-weight matching of `g`. Vertices may remain
+/// unmatched; with strictly positive weights the result is always a
+/// *maximal* matching (no edge can be added), and its total weight is
+/// globally optimal.
+///
+/// A thin wrapper over [`solve`]: the dense cost matrix holds `-w` for
+/// every edge `(l, r, w)` and 0 elsewhere.
+pub fn max_weight_matching(g: &WeightedBipartite) -> Matching {
+    let (n, rc) = (g.left_count(), g.right_count());
+    let mut cost = vec![0i64; n * rc];
+    for l in 0..n {
+        for &(r, w) in g.neighbors(l) {
+            cost[l * rc + r] = -w;
+        }
+    }
+    let pairs = solve(&cost, n, rc, &mut Scratch::default()).to_vec();
+    let weight = pairs
+        .iter()
+        .enumerate()
+        .filter_map(|(l, r)| r.map(|r| -cost[l * rc + r]))
+        .sum();
     let result = Matching { pairs, weight };
     debug_assert!(result.validate(g).is_ok());
     result
@@ -133,106 +239,8 @@ pub fn max_weight_matching(g: &WeightedBipartite) -> Matching {
 mod tests {
     use super::*;
     use crate::brute;
+    use crate::reference::reference_max_weight_matching;
     use proptest::prelude::*;
-
-    /// The solver as it stood before the dense cost matrix: `g.weight()`
-    /// per cell and fresh `minv`/`used` per row. Kept verbatim as the
-    /// oracle that pins [`max_weight_matching`]'s pairs and tie-breaks.
-    #[allow(clippy::needless_range_loop)] // dual updates are index-coupled across u/v/p
-    fn reference_max_weight_matching(g: &WeightedBipartite) -> Matching {
-        let n = g.left_count(); // rows
-        let rc = g.right_count();
-        let m = rc + n; // real columns + one dummy column per row
-        if n == 0 {
-            return Matching {
-                pairs: Vec::new(),
-                weight: 0,
-            };
-        }
-
-        // cost(i, j): negated weight for real edges, 0 for non-edges and
-        // dummy columns. 1-indexed internally (index 0 = sentinel).
-        let cost = |i: usize, j: usize| -> i64 {
-            // i, j are 1-indexed row/column.
-            if j <= rc {
-                g.weight(i - 1, j - 1).map_or(0, |w| -w)
-            } else {
-                0
-            }
-        };
-
-        // Potentials and matching state (e-maxx formulation).
-        let mut u = vec![0i64; n + 1];
-        let mut v = vec![0i64; m + 1];
-        let mut p = vec![0usize; m + 1]; // p[j] = row matched to column j
-        let mut way = vec![0usize; m + 1];
-
-        for i in 1..=n {
-            p[0] = i;
-            let mut j0 = 0usize;
-            let mut minv = vec![INF; m + 1];
-            let mut used = vec![false; m + 1];
-            loop {
-                used[j0] = true;
-                let i0 = p[j0];
-                let mut delta = INF;
-                let mut j1 = 0usize;
-                for j in 1..=m {
-                    if used[j] {
-                        continue;
-                    }
-                    let cur = cost(i0, j) - u[i0] - v[j];
-                    if cur < minv[j] {
-                        minv[j] = cur;
-                        way[j] = j0;
-                    }
-                    if minv[j] < delta {
-                        delta = minv[j];
-                        j1 = j;
-                    }
-                }
-                debug_assert!(delta < INF, "augmentation must always succeed (dummies)");
-                for j in 0..=m {
-                    if used[j] {
-                        u[p[j]] += delta;
-                        v[j] -= delta;
-                    } else {
-                        minv[j] -= delta;
-                    }
-                }
-                j0 = j1;
-                if p[j0] == 0 {
-                    break;
-                }
-            }
-            // Unwind the augmenting path.
-            loop {
-                let j1 = way[j0];
-                p[j0] = p[j1];
-                j0 = j1;
-                if j0 == 0 {
-                    break;
-                }
-            }
-        }
-
-        // Extract: row -> column, keeping only genuine edges.
-        let mut pairs = vec![None; n];
-        let mut weight = 0i64;
-        for j in 1..=rc {
-            let i = p[j];
-            if i == 0 {
-                continue;
-            }
-            if let Some(w) = g.weight(i - 1, j - 1) {
-                pairs[i - 1] = Some(j - 1);
-                weight += w;
-            }
-        }
-        let result = Matching { pairs, weight };
-        debug_assert!(result.validate(g).is_ok());
-        result
-    }
 
     #[test]
     fn empty_instances() {

@@ -10,19 +10,29 @@
 //! crate *is* that black box:
 //!
 //! * [`WeightedBipartite`] — the instance representation.
+//! * [`hungarian::solve`] — the one solver loop: the Hungarian
+//!   algorithm with lazily applied dual potentials, `O(L² · R)`, on a
+//!   dense cost matrix and caller-reused [`hungarian::Scratch`]
+//!   buffers. `minim_core::plan_recode` fills that matrix straight
+//!   from its forbidden lists.
 //! * [`max_weight_matching`] — exact maximum-weight bipartite matching
-//!   via the Hungarian algorithm with dual potentials, `O(L² · R)`;
-//!   vertices may remain unmatched (the matching need not be perfect).
+//!   of a [`WeightedBipartite`], a thin wrapper over `solve`; vertices
+//!   may remain unmatched (the matching need not be perfect).
 //! * [`hopcroft_karp()`] — maximum-*cardinality* matching in `O(E √V)`;
 //!   the reference the Hungarian must match on uniform weights.
 //! * [`brute`] — exhaustive oracles for small instances, used by the
 //!   property tests and the optimality-among-minimal experiments.
+//! * `reference` (this crate's tests, or the `oracle` feature) — the
+//!   textbook Hungarian loop, verbatim, against which `solve` and
+//!   `plan_recode` are pinned pair for pair.
 
 #![deny(missing_docs)]
 
 pub mod brute;
 pub mod hopcroft_karp;
 pub mod hungarian;
+#[cfg(any(test, feature = "oracle"))]
+pub mod reference;
 
 pub use hopcroft_karp::hopcroft_karp;
 pub use hungarian::max_weight_matching;

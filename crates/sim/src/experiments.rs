@@ -71,6 +71,7 @@ fn run_preset(spec: scenario::ScenarioSpec, cfg: &ExperimentConfig) -> scenario:
     Scenario::new(spec)
         .expect("figure presets are valid by construction")
         .run(cfg)
+        .expect("figure drivers take at least one replicate")
 }
 
 /// An empty-sweep figure result (zero rows, correct headers) — what

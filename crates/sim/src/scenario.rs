@@ -354,7 +354,7 @@ impl SweepAxis {
 ///
 /// // …and runs deterministically.
 /// let cfg = ExperimentConfig { runs: 2, seed: 7, ..ExperimentConfig::quick() };
-/// let result = Scenario::new(spec).unwrap().run(&cfg);
+/// let result = Scenario::new(spec).unwrap().run(&cfg).unwrap();
 /// assert_eq!(result.points.len(), 2);
 /// assert_eq!(result.strategies, vec!["Minim", "CP", "BBB"]);
 /// ```
@@ -485,8 +485,8 @@ impl ScenarioSpec {
     }
 }
 
-/// A spec rejected by [`Scenario::new`] or a failed spec-file parse,
-/// with the reason.
+/// A spec rejected by [`Scenario::new`], a failed spec-file parse, or
+/// a run configuration rejected by [`Scenario::run`], with the reason.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpecError(pub String);
 
@@ -1000,18 +1000,26 @@ impl Scenario {
     }
 
     /// Runs the sweep.
-    pub fn run(&self, cfg: &ExperimentConfig) -> SweepResult {
+    ///
+    /// # Errors
+    /// Returns a [`SpecError`] if `cfg.runs` is 0.
+    pub fn run(&self, cfg: &ExperimentConfig) -> Result<SweepResult, SpecError> {
         self.run_with_progress(cfg, |_| {})
     }
 
     /// Runs the sweep, invoking `on_point` after each resolved sweep
     /// point completes (a `Rounds` sweep is one resolved point).
+    ///
+    /// # Errors
+    /// Returns a [`SpecError`] if `cfg.runs` is 0.
     pub fn run_with_progress(
         &self,
         cfg: &ExperimentConfig,
         mut on_point: impl FnMut(SweepProgress),
-    ) -> SweepResult {
-        assert!(cfg.runs >= 1, "need at least one replicate");
+    ) -> Result<SweepResult, SpecError> {
+        if cfg.runs == 0 {
+            return spec_err("runs must be ≥ 1");
+        }
         let started = Instant::now();
         let spec = &self.spec;
         let plans = self.resolve_points();
@@ -1060,7 +1068,7 @@ impl Scenario {
                 elapsed: started.elapsed(),
             });
         }
-        SweepResult {
+        Ok(SweepResult {
             scenario: spec.name.clone(),
             x_label: spec.sweep.x_label().to_string(),
             measure: spec.measure,
@@ -1072,7 +1080,7 @@ impl Scenario {
             wall_clock: started.elapsed(),
             shard_health,
             metrics: minim_obs::snapshot(),
-        }
+        })
     }
 
     /// Substitutes each sweep value into the phases, yielding the
@@ -2014,6 +2022,20 @@ mod tests {
         }
     }
 
+    #[test]
+    fn zero_runs_is_an_error_not_a_panic() {
+        let scenario = Scenario::new(mix_spec()).unwrap();
+        let cfg = ExperimentConfig {
+            runs: 0,
+            ..tiny_cfg()
+        };
+        let err = scenario.run(&cfg).unwrap_err();
+        assert_eq!(err, SpecError("runs must be ≥ 1".into()));
+        let mut calls = 0;
+        assert!(scenario.run_with_progress(&cfg, |_| calls += 1).is_err());
+        assert_eq!(calls, 0, "no sweep point runs");
+    }
+
     fn mix_spec() -> ScenarioSpec {
         ScenarioSpec::new("mix-lab")
             .topology(TopologyFamily::Clustered {
@@ -2038,7 +2060,7 @@ mod tests {
 
     #[test]
     fn sweep_result_has_expected_shape() {
-        let r = Scenario::new(mix_spec()).unwrap().run(&tiny_cfg());
+        let r = Scenario::new(mix_spec()).unwrap().run(&tiny_cfg()).unwrap();
         assert_eq!(r.points.len(), 2);
         assert_eq!(r.x_label, "steps");
         assert_eq!(r.strategies.len(), 3);
@@ -2058,14 +2080,18 @@ mod tests {
     #[test]
     fn worker_count_does_not_change_results() {
         let scenario = Scenario::new(mix_spec()).unwrap();
-        let a = scenario.run(&ExperimentConfig {
-            workers: 1,
-            ..tiny_cfg()
-        });
-        let b = scenario.run(&ExperimentConfig {
-            workers: 8,
-            ..tiny_cfg()
-        });
+        let a = scenario
+            .run(&ExperimentConfig {
+                workers: 1,
+                ..tiny_cfg()
+            })
+            .unwrap();
+        let b = scenario
+            .run(&ExperimentConfig {
+                workers: 8,
+                ..tiny_cfg()
+            })
+            .unwrap();
         assert_eq!(a, b);
         assert_eq!(a.to_csv(), b.to_csv());
     }
@@ -2080,7 +2106,7 @@ mod tests {
             })
             .measure(Measure::DeltaFromBase)
             .sweep(SweepAxis::Rounds(3));
-        let r = Scenario::new(spec).unwrap().run(&tiny_cfg());
+        let r = Scenario::new(spec).unwrap().run(&tiny_cfg()).unwrap();
         assert_eq!(r.points.len(), 3);
         assert_eq!(
             r.points.iter().map(|p| p.x).collect::<Vec<_>>(),
@@ -2103,7 +2129,7 @@ mod tests {
                 door: 10.0,
             })
             .measured_phase(PhaseSpec::Join { count: 25 });
-        let r = Scenario::new(spec).unwrap().run(&tiny_cfg());
+        let r = Scenario::new(spec).unwrap().run(&tiny_cfg()).unwrap();
         assert_eq!(r.points.len(), 1);
         assert!(r.points[0].colors[0].mean >= 1.0);
     }
@@ -2112,7 +2138,9 @@ mod tests {
     fn progress_fires_once_per_resolved_point() {
         let mut seen = Vec::new();
         let scenario = Scenario::new(mix_spec()).unwrap();
-        scenario.run_with_progress(&tiny_cfg(), |p| seen.push((p.done, p.total, p.x)));
+        scenario
+            .run_with_progress(&tiny_cfg(), |p| seen.push((p.done, p.total, p.x)))
+            .unwrap();
         assert_eq!(seen, vec![(1, 2, 10.0), (2, 2, 30.0)]);
     }
 
@@ -2170,7 +2198,10 @@ mod tests {
 
     #[test]
     fn power_control_phase_emits_endogenous_events() {
-        let r = Scenario::new(power_spec()).unwrap().run(&tiny_cfg());
+        let r = Scenario::new(power_spec())
+            .unwrap()
+            .run(&tiny_cfg())
+            .unwrap();
         assert_eq!(r.points.len(), 2);
         assert_eq!(r.x_label, "targetSINR");
         // Every replicate executes the 30 base joins plus at least one
@@ -2197,14 +2228,18 @@ mod tests {
             sink_every: 6,
         }))
         .unwrap();
-        let a = scenario.run(&ExperimentConfig {
-            workers: 1,
-            ..tiny_cfg()
-        });
-        let b = scenario.run(&ExperimentConfig {
-            workers: 8,
-            ..tiny_cfg()
-        });
+        let a = scenario
+            .run(&ExperimentConfig {
+                workers: 1,
+                ..tiny_cfg()
+            })
+            .unwrap();
+        let b = scenario
+            .run(&ExperimentConfig {
+                workers: 8,
+                ..tiny_cfg()
+            })
+            .unwrap();
         assert_eq!(a, b);
     }
 
@@ -2257,7 +2292,10 @@ mod tests {
 
     #[test]
     fn power_churn_phase_interleaves_corrections() {
-        let r = Scenario::new(churn_spec()).unwrap().run(&tiny_cfg());
+        let r = Scenario::new(churn_spec())
+            .unwrap()
+            .run(&tiny_cfg())
+            .unwrap();
         assert_eq!(r.points.len(), 2);
         assert_eq!(r.x_label, "targetSINR");
         // Every replicate executes the 25 base joins, the 24 churn
@@ -2275,14 +2313,18 @@ mod tests {
     #[test]
     fn power_churn_results_are_worker_invariant() {
         let scenario = Scenario::new(churn_spec()).unwrap();
-        let a = scenario.run(&ExperimentConfig {
-            workers: 1,
-            ..tiny_cfg()
-        });
-        let b = scenario.run(&ExperimentConfig {
-            workers: 8,
-            ..tiny_cfg()
-        });
+        let a = scenario
+            .run(&ExperimentConfig {
+                workers: 1,
+                ..tiny_cfg()
+            })
+            .unwrap();
+        let b = scenario
+            .run(&ExperimentConfig {
+                workers: 8,
+                ..tiny_cfg()
+            })
+            .unwrap();
         assert_eq!(a, b);
     }
 
@@ -2428,7 +2470,7 @@ mod tests {
 
     #[test]
     fn result_json_parses_back() {
-        let r = Scenario::new(mix_spec()).unwrap().run(&tiny_cfg());
+        let r = Scenario::new(mix_spec()).unwrap().run(&tiny_cfg()).unwrap();
         let v = json::parse(&r.to_json_string()).unwrap();
         assert_eq!(v.get("scenario").unwrap().as_str(), Some("mix-lab"));
         assert_eq!(

@@ -54,7 +54,8 @@ fn main() {
     let cfg = spec.default_config();
     let result = Scenario::new(spec)
         .expect("the campaign is a valid spec")
-        .run(&cfg);
+        .run(&cfg)
+        .expect("the spec asks for 8 replicates");
     let (_, recodings) = result.tables();
     println!("{}", recodings.render());
     println!(

@@ -52,7 +52,8 @@ fn main() {
     let cfg = spec.default_config();
     let result = Scenario::new(spec)
         .expect("the conference day is a valid spec")
-        .run(&cfg);
+        .run(&cfg)
+        .expect("the spec asks for 12 replicates");
 
     let (colors, recodings) = result.tables();
     println!("{}", recodings.render());

@@ -105,7 +105,8 @@ fn main() {
     };
     let result = Scenario::new(spec)
         .expect("the preset is a valid spec")
-        .run(&cfg);
+        .run(&cfg)
+        .expect("six replicates are requested");
     let (_, recoding_table) = result.tables();
     println!("{}", recoding_table.render());
     println!(

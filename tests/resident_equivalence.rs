@@ -331,14 +331,16 @@ fn scenario_resident_knob_is_bit_identical() {
     let mut cfg = scenario.spec().default_config();
     cfg.runs = 2;
     cfg.workers = 2;
-    let seq = scenario.run(&cfg);
+    let seq = scenario.run(&cfg).expect("two replicates");
     assert!(
         seq.shard_health.is_none(),
         "sequential runs report no health"
     );
     let mut healths = Vec::new();
     for workers in [2usize, 8] {
-        let resident = scenario.run(&cfg.execution(Execution::Resident { workers }));
+        let resident = scenario
+            .run(&cfg.execution(Execution::Resident { workers }))
+            .expect("two replicates");
         assert_eq!(seq, resident, "resident x{workers}");
         assert_eq!(seq.to_csv(), resident.to_csv());
         healths.push(
@@ -375,9 +377,11 @@ fn scenario_execution_knob_is_bit_identical() {
         let mut cfg = scenario.spec().default_config();
         cfg.runs = 2;
         cfg.workers = 2;
-        let seq = scenario.run(&cfg);
+        let seq = scenario.run(&cfg).expect("two replicates");
         for workers in [2usize, 8] {
-            let resident = scenario.run(&cfg.execution(Execution::Resident { workers }));
+            let resident = scenario
+                .run(&cfg.execution(Execution::Resident { workers }))
+                .expect("two replicates");
             assert_eq!(seq, resident, "{name}: resident x{workers}");
             assert_eq!(seq.to_csv(), resident.to_csv(), "{name}");
         }

@@ -17,6 +17,7 @@ fn run(spec: ScenarioSpec, workers: usize, seed: u64) -> SweepResult {
             workers,
             ..ExperimentConfig::quick()
         })
+        .expect("four replicates are requested")
 }
 
 /// Small-sweep variants of the presets that exercise every topology
